@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,8 +32,8 @@ from .model import ModelConfig, build_batch, encode, project
 from .rng import RngStream
 from .structures import StructureError
 from .train import (EmptySplit, Metrics, TrainConfig, TrainError,
-                    evaluate_checkpoint, finetune, load_graph_dataset, pretrain,
-                    split_dataset)
+                    _finetune_splits, evaluate_checkpoint, finetune,
+                    load_graph_dataset, pretrain)
 
 
 class ConfigError(Exception):
@@ -193,8 +193,10 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _write_metrics(path, metrics: Metrics) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+def _write_metrics(out: Path, metrics: Metrics) -> str:
+    """Write out/metrics.csv; return the test score as key=value for the
+    command's summary line."""
+    with open(out / "metrics.csv", "w", encoding="utf-8") as fh:
         fh.write("metric,value\n")
         if metrics.mae is not None:
             fh.write(f"test_mae,{metrics.mae!r}\n")
@@ -204,6 +206,9 @@ def _write_metrics(path, metrics: Metrics) -> None:
             fh.write(f"best_val_metric,{metrics.val_metric!r}\n")
         if metrics.best_epoch is not None:
             fh.write(f"best_epoch,{metrics.best_epoch}\n")
+    if metrics.mae is not None:
+        return f"test_mae={metrics.mae!r}"
+    return f"test_accuracy={metrics.accuracy!r}"
 
 
 # ---------------------------------------------------------------------------
@@ -235,36 +240,16 @@ def cmd_stats(args, rc: RunConfig) -> int:
     return 0
 
 
-def cmd_pretrain(args, rc: RunConfig) -> int:
-    cfg = rc.train_config("pretrain")
-    out = _out_dir(args)
-    manifest = load_manifest(args.manifest)
-    dataset = load_graph_dataset(manifest, cfg.graph, n_workers=cfg.n_workers)
-    result = pretrain(dataset, cfg, out_dir=out)
-    eval_rows = [r for r in result.log.rows if r[4] == "eval_loss"]
-    last_eval = eval_rows[-1][5] if eval_rows else "n/a"
-    print(f"pretraining done: loss={cfg.loss.kind} epochs={cfg.epochs} "
-          f"final_eval_loss={last_eval}")
-    print(f"wrote {out / 'final.ckpt'}")
-    return 0
+def _reconcile_with_checkpoint(rc: RunConfig, cfg: TrainConfig, ckpt,
+                               adopt_split: bool = False) -> TrainConfig:
+    """Adopt the checkpoint's model/graph settings unless explicitly overridden.
 
-
-def _checkpoint_for_finetune(args, rc: RunConfig):
-    if args.no_pretrain and args.checkpoint:
-        raise ConfigError("--checkpoint and --no-pretrain are mutually exclusive")
-    if not args.no_pretrain and not args.checkpoint:
-        raise ConfigError("finetune needs --checkpoint PATH or --no-pretrain")
-    if args.no_pretrain:
-        return None
-    return load_checkpoint(args.checkpoint)
-
-
-def _reconcile_with_checkpoint(rc: RunConfig, cfg: TrainConfig, ckpt) -> TrainConfig:
-    """Adopt the checkpoint's model/graph settings unless explicitly overridden."""
+    With adopt_split, also adopt the seed and val/test fractions it was
+    trained with, so that scoring sees the same test split; an explicit
+    value that differs is refused, like a conflicting model setting.
+    """
     if ckpt is None:
         return cfg
-    from dataclasses import replace
-
     if not any(k.startswith("model.") for k in rc.provided):
         cfg = replace(cfg, model=ckpt.model_config)
     elif asdict(cfg.model) != asdict(ckpt.model_config):
@@ -276,50 +261,74 @@ def _reconcile_with_checkpoint(rc: RunConfig, cfg: TrainConfig, ckpt) -> TrainCo
     if ckpt.metadata.get("edge_feature_width") not in (None, cfg.graph.n_centers):
         raise ShapeMismatch("checkpoint edge feature width",
                             ckpt.metadata["edge_feature_width"], cfg.graph.n_centers)
+    split_keys = ("seed", "val_fraction", "test_fraction") if adopt_split else ()
+    for attr in split_keys:
+        stored = ckpt.metadata.get(attr)
+        if stored is None:
+            continue
+        if f"train.{attr}" not in rc.provided:
+            cfg = replace(cfg, **{attr: stored})
+        elif getattr(cfg, attr) != stored:
+            raise ConfigError(f"train.{attr}={getattr(cfg, attr)!r} conflicts with "
+                              f"the checkpoint's {stored!r}, which fixed its test split")
     return cfg
 
 
-def cmd_finetune(args, rc: RunConfig) -> int:
-    ckpt = _checkpoint_for_finetune(args, rc)
-    cfg = _reconcile_with_checkpoint(rc, rc.train_config("finetune"), ckpt)
+def _prepare(args, rc: RunConfig):
+    """The command's checkpoint (None for pretrain and --no-pretrain), its
+    configuration reconciled with that checkpoint, the output directory and
+    the graph dataset. evaluate and embed score the split the checkpoint was
+    trained with."""
+    path = getattr(args, "checkpoint", None)
+    if getattr(args, "no_pretrain", False):
+        if path:
+            raise ConfigError("--checkpoint and --no-pretrain are mutually exclusive")
+    elif args.command == "finetune" and not path:
+        raise ConfigError("finetune needs --checkpoint PATH or --no-pretrain")
+    ckpt = load_checkpoint(path) if path else None
+    phase = "pretrain" if args.command == "pretrain" else "finetune"
+    cfg = _reconcile_with_checkpoint(rc, rc.train_config(phase), ckpt,
+                                     adopt_split=args.command in ("evaluate", "embed"))
     out = _out_dir(args)
-    manifest = load_manifest(args.manifest)
-    dataset = load_graph_dataset(manifest, cfg.graph, n_workers=cfg.n_workers)
+    dataset = load_graph_dataset(load_manifest(args.manifest), cfg.graph,
+                                 n_workers=cfg.n_workers)
+    return ckpt, cfg, out, dataset
+
+
+def cmd_pretrain(args, rc: RunConfig) -> int:
+    _, cfg, out, dataset = _prepare(args, rc)
+    result = pretrain(dataset, cfg, out_dir=out)
+    eval_rows = [r for r in result.log.rows if r[4] == "eval_loss"]
+    last_eval = eval_rows[-1][5] if eval_rows else "n/a"
+    print(f"pretraining done: loss={cfg.loss.kind} epochs={cfg.epochs} "
+          f"final_eval_loss={last_eval}")
+    print(f"wrote {out / 'final.ckpt'}")
+    return 0
+
+
+def cmd_finetune(args, rc: RunConfig) -> int:
+    ckpt, cfg, out, dataset = _prepare(args, rc)
     result = finetune(dataset, ckpt, cfg, out_dir=out)
-    _write_metrics(out / "metrics.csv", result.metrics)
-    m = result.metrics
-    score = f"test_mae={m.mae!r}" if m.mae is not None else f"test_accuracy={m.accuracy!r}"
-    print(f"fine-tuning done: task={cfg.task} {score} best_epoch={m.best_epoch}")
+    score = _write_metrics(out, result.metrics)
+    print(f"fine-tuning done: task={cfg.task} {score} "
+          f"best_epoch={result.metrics.best_epoch}")
     print(f"wrote {out / 'best.ckpt'} and {out / 'metrics.csv'}")
     return 0
 
 
 def cmd_evaluate(args, rc: RunConfig) -> int:
-    ckpt = load_checkpoint(args.checkpoint)
-    cfg = _reconcile_with_checkpoint(rc, rc.train_config("finetune"), ckpt)
-    out = _out_dir(args)
-    manifest = load_manifest(args.manifest)
-    dataset = load_graph_dataset(manifest, cfg.graph, n_workers=cfg.n_workers)
-    metrics = evaluate_checkpoint(dataset, ckpt, cfg)
-    _write_metrics(out / "metrics.csv", metrics)
-    score = (f"test_mae={metrics.mae!r}" if metrics.mae is not None
-             else f"test_accuracy={metrics.accuracy!r}")
+    ckpt, cfg, out, dataset = _prepare(args, rc)
+    score = _write_metrics(out, evaluate_checkpoint(dataset, ckpt, cfg))
     print(f"evaluation done: {score}")
     return 0
 
 
 def cmd_embed(args, rc: RunConfig) -> int:
-    ckpt = load_checkpoint(args.checkpoint)
-    cfg = _reconcile_with_checkpoint(rc, rc.train_config("finetune"), ckpt)
-    out = _out_dir(args)
-    manifest = load_manifest(args.manifest)
-    dataset = load_graph_dataset(manifest, cfg.graph, n_workers=cfg.n_workers)
-    splits = split_dataset(dataset.records, "finetune", cfg.seed,
-                           val_fraction=cfg.val_fraction,
-                           test_fraction=cfg.test_fraction)
-    test_idx = splits["test"]
+    ckpt, cfg, out, dataset = _prepare(args, rc)
+    test_idx = _finetune_splits(dataset, cfg)["test"]
     params = ckpt.to_params()
-    has_projection = any(n.startswith("projection.") for n in ckpt.tensors)
+    # a fine-tuned checkpoint's projection head is its untrained initial one
+    finetuned = ckpt.metadata.get("phase") == "finetune"
 
     rows = []
     for start in range(0, len(test_idx), cfg.batch_size):
@@ -327,14 +336,14 @@ def cmd_embed(args, rc: RunConfig) -> int:
         graphs = [dataset.graphs[int(i)] for i in chunk]  # un-augmented, always
         batch = build_batch(graphs, dataset.node_feature_mode, dataset.feature_table)
         pooled = encode(params, batch, cfg.model)
-        emb = project(params, pooled) if has_projection else pooled
+        emb = pooled if finetuned else project(params, pooled)
         for row_i, i in enumerate(chunk):
             rec = dataset.records[int(i)]
             label = "" if rec.surrogate_label is None else str(rec.surrogate_label)
             values = ",".join(repr(float(v)) for v in emb.values[row_i])
             rows.append(f"{rec.id},{label},{values}")
 
-    width = ckpt.model_config.embed_dim if has_projection else ckpt.model_config.hidden_dim
+    width = cfg.model.hidden_dim if finetuned else cfg.model.embed_dim
     header = "id,label," + ",".join(f"e{k}" for k in range(width))
     embed_path = out / "embeddings.csv"
     with open(embed_path, "w", encoding="utf-8") as fh:

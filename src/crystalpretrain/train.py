@@ -21,9 +21,9 @@ from .checkpoint import Checkpoint, checkpoint_from_params, save_checkpoint
 from .datasets import DatasetManifest, ManifestRecord, load_structures
 from .graphs import FeatureTable, GraphConfig, build_graph, load_feature_table
 from .losses import LossConfig, compute_loss
-from .model import (ModelConfig, TASKS, build_batch, encode, encoder_param_names,
-                    finetune_param_names, head_forward, init_params,
-                    pretrain_param_names, project)
+from .model import (ModelConfig, TASKS, build_batch, embed_graphs, encode,
+                    encoder_param_names, finetune_param_names, head_forward,
+                    init_params, pretrain_param_names)
 from .rng import RngStream
 
 PHASES = ("pretrain", "finetune")
@@ -293,12 +293,80 @@ class Metrics:
 
 
 # ---------------------------------------------------------------------------
-# shared helpers
+# the training loop both phases share
 # ---------------------------------------------------------------------------
+
+@dataclass
+class TrainResult:
+    params: dict[str, Tensor]
+    checkpoint: Checkpoint
+    log: TrainingLog
+    metrics: Metrics | None = None
+
 
 def clone_params(params: dict[str, Tensor]) -> dict[str, Tensor]:
     return {n: Tensor(t.values.copy(), requires_grad=True) for n, t in params.items()}
 
+
+def _init_params(cfg: TrainConfig, dataset: GraphDataset) -> dict[str, Tensor]:
+    table_width = dataset.feature_table.width if dataset.feature_table else None
+    return init_params(cfg.model, cfg.seed, edge_feature_width=cfg.graph.n_centers,
+                       external_feature_width=table_width)
+
+
+def _metadata(cfg: TrainConfig, dataset: GraphDataset, epoch: int, next_epoch: int,
+              label_name: str = "surrogate_label", **extra) -> dict:
+    table_width = dataset.feature_table.width if dataset.feature_table else None
+    return {
+        "phase": cfg.phase,
+        "epoch": epoch,
+        "loss_kind": cfg.loss.kind,
+        "surrogate_label_name": label_name,
+        "seed": cfg.seed,
+        "rng_cursor": {"seed": cfg.seed, "next_epoch": next_epoch},
+        "graph_config": asdict(cfg.graph),
+        "edge_feature_width": cfg.graph.n_centers,
+        "external_feature_width": table_width,
+        **extra,
+    }
+
+
+def _train(params: dict[str, Tensor], names, train_idx: np.ndarray, cfg: TrainConfig,
+           batch_loss, end_epoch, log: TrainingLog, min_batch: int = 1) -> int:
+    """Adam on `names` over cfg.epochs seeded shuffles of `train_idx`.
+
+    batch_loss(batch_idx, epoch) builds each batch's loss on the tape; batches
+    shorter than min_batch are skipped. Every cfg.eval_every_steps-th step
+    logs its loss, and end_epoch(epoch, step) runs after each epoch. Returns
+    the number of steps taken.
+    """
+    state = AdamState.for_params(params, names)
+    step = 0
+    for epoch in range(cfg.epochs):
+        gen = RngStream(cfg.seed, "shuffle", epoch).generator()
+        order = train_idx[gen.permutation(len(train_idx))]
+        for start in range(0, len(order), cfg.batch_size):
+            batch_idx = order[start:start + cfg.batch_size]
+            if len(batch_idx) < min_batch:
+                continue
+            with Tape() as tape:
+                loss = batch_loss(batch_idx, epoch)
+                grads = backward(tape, loss)
+            adam_step(params, {n: grads.get(params[n], np.zeros_like(params[n].values))
+                               for n in names}, state,
+                      lr=cfg.lr, beta1=cfg.adam_beta1, beta2=cfg.adam_beta2,
+                      eps=cfg.adam_eps, weight_decay=cfg.weight_decay,
+                      decoupled=cfg.decoupled_weight_decay)
+            step += 1
+            if step % cfg.eval_every_steps == 0:
+                log.log_loss(step, epoch, cfg.phase, loss.item())
+        end_epoch(epoch, step)
+    return step
+
+
+# ---------------------------------------------------------------------------
+# pretraining
+# ---------------------------------------------------------------------------
 
 def _view_pairs(dataset: GraphDataset, indices, cfg: TrainConfig, epoch: int,
                 tag: str):
@@ -313,12 +381,6 @@ def _view_pairs(dataset: GraphDataset, indices, cfg: TrainConfig, epoch: int,
     return [one(int(i)) for i in indices]
 
 
-def _embed_views(params, dataset, pairs, cfg: TrainConfig) -> Tensor:
-    interleaved = [view for pair in pairs for view in pair]
-    batch = build_batch(interleaved, dataset.node_feature_mode, dataset.feature_table)
-    return project(params, encode(params, batch, cfg.model))
-
-
 def _batch_labels(dataset: GraphDataset, indices, required: bool):
     labels = []
     for i in indices:
@@ -331,39 +393,8 @@ def _batch_labels(dataset: GraphDataset, indices, required: bool):
     return np.array(labels, dtype=np.int64)
 
 
-def _grads_by_name(params, names, grads) -> dict[str, np.ndarray]:
-    return {n: grads.get(params[n], np.zeros_like(params[n].values)) for n in names}
-
-
-def _pretrain_metadata(cfg: TrainConfig, dataset: GraphDataset, epoch: int,
-                       label_name: str) -> dict:
-    table_width = dataset.feature_table.width if dataset.feature_table else None
-    return {
-        "phase": cfg.phase,
-        "epoch": epoch,
-        "loss_kind": cfg.loss.kind,
-        "surrogate_label_name": label_name,
-        "seed": cfg.seed,
-        "rng_cursor": {"seed": cfg.seed, "next_epoch": epoch},
-        "graph_config": asdict(cfg.graph),
-        "edge_feature_width": cfg.graph.n_centers,
-        "external_feature_width": table_width,
-    }
-
-
-# ---------------------------------------------------------------------------
-# pretraining
-# ---------------------------------------------------------------------------
-
-@dataclass
-class PretrainResult:
-    params: dict[str, Tensor]
-    checkpoint: Checkpoint
-    log: TrainingLog
-
-
 def pretrain(dataset: GraphDataset, cfg: TrainConfig, out_dir=None,
-             label_name: str = "surrogate_label") -> PretrainResult:
+             label_name: str = "surrogate_label") -> TrainResult:
     """Contrastive pretraining over two augmented views per crystal.
 
     Both views pass through the shared-weight encoder and projection head;
@@ -375,70 +406,48 @@ def pretrain(dataset: GraphDataset, cfg: TrainConfig, out_dir=None,
                            pretrain_eval_fraction=cfg.pretrain_eval_fraction)
     train_idx, eval_idx = splits["train"], splits["eval"]
     if cfg.loss.needs_labels:
-        for i in np.concatenate([train_idx, eval_idx]):
-            if dataset.records[int(i)].surrogate_label is None:
-                raise MissingSurrogateLabel(dataset.records[int(i)].id)
-
-    table_width = dataset.feature_table.width if dataset.feature_table else None
-    params = init_params(cfg.model, cfg.seed,
-                         edge_feature_width=cfg.graph.n_centers,
-                         external_feature_width=table_width)
-    opt_names = pretrain_param_names(params)
-    state = AdamState.for_params(params, opt_names)
+        _batch_labels(dataset, np.concatenate([train_idx, eval_idx]), required=True)
+    params = _init_params(cfg, dataset)
     log = TrainingLog()
     out_dir = Path(out_dir) if out_dir is not None else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
 
-    step = 0
-    for epoch in range(cfg.epochs):
-        gen = RngStream(cfg.seed, "shuffle", epoch).generator()
-        order = train_idx[gen.permutation(len(train_idx))]
-        for start in range(0, len(order), cfg.batch_size):
-            batch_idx = order[start:start + cfg.batch_size]
-            if len(batch_idx) < 2:
-                continue
-            pairs = _view_pairs(dataset, batch_idx, cfg, epoch, tag="augment")
-            labels = _batch_labels(dataset, batch_idx, cfg.loss.needs_labels)
-            with Tape() as tape:
-                z = _embed_views(params, dataset, pairs, cfg)
-                loss = compute_loss(cfg.loss, z, labels)
-                grads = backward(tape, loss)
-            adam_step(params, _grads_by_name(params, opt_names, grads), state,
-                      lr=cfg.lr, beta1=cfg.adam_beta1, beta2=cfg.adam_beta2,
-                      eps=cfg.adam_eps, weight_decay=cfg.weight_decay,
-                      decoupled=cfg.decoupled_weight_decay)
-            step += 1
-            if step % cfg.eval_every_steps == 0:
-                log.log_loss(step, epoch, "pretrain", loss.item())
-        eval_pairs = _view_pairs(dataset, eval_idx, cfg, epoch, tag="eval-augment")
-        eval_labels = _batch_labels(dataset, eval_idx, cfg.loss.needs_labels)
-        z_eval = _embed_views(params, dataset, eval_pairs, cfg)
-        eval_loss = compute_loss(cfg.loss, z_eval, eval_labels).item()
+    def views_loss(indices, epoch, tag="augment") -> Tensor:
+        pairs = _view_pairs(dataset, indices, cfg, epoch, tag)
+        z = embed_graphs(params, [view for pair in pairs for view in pair], cfg.model,
+                         dataset.node_feature_mode, dataset.feature_table)
+        return compute_loss(cfg.loss, z,
+                            _batch_labels(dataset, indices, cfg.loss.needs_labels))
+
+    def checkpoint(epoch: int) -> Checkpoint:
+        return checkpoint_from_params(
+            params, cfg.model, _metadata(cfg, dataset, epoch, epoch, label_name))
+
+    def end_epoch(epoch: int, step: int):
+        eval_loss = views_loss(eval_idx, epoch, tag="eval-augment").item()
         log.log_metric(step, epoch, "pretrain", "eval_loss", eval_loss)
         if out_dir is not None:
-            ckpt = checkpoint_from_params(
-                params, cfg.model, _pretrain_metadata(cfg, dataset, epoch + 1, label_name))
-            save_checkpoint(out_dir / f"epoch-{epoch + 1:04d}.ckpt", ckpt)
+            save_checkpoint(out_dir / f"epoch-{epoch + 1:04d}.ckpt", checkpoint(epoch + 1))
 
-    final = checkpoint_from_params(
-        params, cfg.model, _pretrain_metadata(cfg, dataset, cfg.epochs, label_name))
+    # a one-crystal batch has no negatives and no batch statistics
+    _train(params, pretrain_param_names(params), train_idx, cfg, views_loss,
+           end_epoch, log, min_batch=2)
+    final = checkpoint(cfg.epochs)
     if out_dir is not None:
         save_checkpoint(out_dir / "final.ckpt", final)
         log.save(out_dir / "log.csv")
-    return PretrainResult(params=params, checkpoint=final, log=log)
+    return TrainResult(params=params, checkpoint=final, log=log)
 
 
 # ---------------------------------------------------------------------------
 # fine-tuning
 # ---------------------------------------------------------------------------
 
-@dataclass
-class FinetuneResult:
-    params: dict[str, Tensor]
-    metrics: Metrics
-    checkpoint: Checkpoint
-    log: TrainingLog
+def _finetune_splits(dataset: GraphDataset, cfg: TrainConfig) -> dict[str, np.ndarray]:
+    return split_dataset(dataset.records, "finetune", cfg.seed,
+                         val_fraction=cfg.val_fraction,
+                         test_fraction=cfg.test_fraction)
 
 
 def _targets(dataset: GraphDataset, indices) -> np.ndarray:
@@ -462,6 +471,21 @@ def _predictions(params, dataset: GraphDataset, indices, cfg: TrainConfig) -> np
     return np.concatenate(preds)
 
 
+def _metric_name(task: str) -> str:
+    return "accuracy" if task == "binary-classification" else "mae"
+
+
+def _score(params, dataset: GraphDataset, indices, cfg: TrainConfig,
+           t_mean: float = 0.0, t_std: float = 1.0) -> float:
+    """Accuracy of the logits' signs for classification, else the MAE of the
+    de-standardised predictions in the targets' native units."""
+    targets = _targets(dataset, indices)
+    preds = _predictions(params, dataset, indices, cfg)
+    if cfg.task == "binary-classification":
+        return float(((ad._sigmoid(preds) > 0.5) == (targets > 0.5)).mean())
+    return mean_absolute_error(preds * t_std + t_mean, targets)
+
+
 def _load_encoder(params: dict[str, Tensor], ckpt: Checkpoint):
     for name in encoder_param_names(params):
         if name not in ckpt.tensors:
@@ -474,7 +498,7 @@ def _load_encoder(params: dict[str, Tensor], ckpt: Checkpoint):
 
 
 def finetune(dataset: GraphDataset, ckpt: Checkpoint | None, cfg: TrainConfig,
-             out_dir=None) -> FinetuneResult:
+             out_dir=None) -> TrainResult:
     """Supervised fine-tuning on targets, from a pretrained encoder or scratch.
 
     The projection head is discarded; a fresh two-layer head is trained along
@@ -484,142 +508,71 @@ def finetune(dataset: GraphDataset, ckpt: Checkpoint | None, cfg: TrainConfig,
     test split.
     """
     cfg = cfg.resolved("finetune")
-    splits = split_dataset(dataset.records, "finetune", cfg.seed,
-                           val_fraction=cfg.val_fraction,
-                           test_fraction=cfg.test_fraction)
+    splits = _finetune_splits(dataset, cfg)
     train_idx, val_idx, test_idx = splits["train"], splits["val"], splits["test"]
     train_targets = _targets(dataset, train_idx)
-    val_targets = _targets(dataset, val_idx)
-    test_targets = _targets(dataset, test_idx)
+    held_out = [_targets(dataset, val_idx), _targets(dataset, test_idx)]
     classification = cfg.task == "binary-classification"
     if classification:
-        for arr in (train_targets, val_targets, test_targets):
-            if not np.isin(arr, (0.0, 1.0)).all():
-                raise TrainError("binary-classification targets must be 0 or 1")
+        if not all(np.isin(t, (0.0, 1.0)).all() for t in (train_targets, *held_out)):
+            raise TrainError("binary-classification targets must be 0 or 1")
         t_mean, t_std = 0.0, 1.0
     else:
         t_mean = float(train_targets.mean())
         t_std = float(max(train_targets.std(), 1e-12))
 
-    table_width = dataset.feature_table.width if dataset.feature_table else None
-    params = init_params(cfg.model, cfg.seed,
-                         edge_feature_width=cfg.graph.n_centers,
-                         external_feature_width=table_width)
+    params = _init_params(cfg, dataset)
     if ckpt is not None:
         _load_encoder(params, ckpt)
-    opt_names = finetune_param_names(params)
-    state = AdamState.for_params(params, opt_names)
     log = TrainingLog()
-
+    metric = _metric_name(cfg.task)
     target_of = {int(i): t for i, t in zip(train_idx, train_targets)}
 
-    def val_metric(p) -> float:
-        preds = _predictions(p, dataset, val_idx, cfg)
+    def batch_loss(indices, epoch) -> Tensor:
+        graphs = [dataset.graphs[int(i)] for i in indices]
+        raw = np.array([target_of[int(i)] for i in indices])
+        batch = build_batch(graphs, dataset.node_feature_mode, dataset.feature_table)
+        out = head_forward(params, encode(params, batch, cfg.model), cfg.task)
         if classification:
-            return float((( _sigmoid_np(preds) > 0.5) == (val_targets > 0.5)).mean())
-        return mean_absolute_error(preds * t_std + t_mean, val_targets)
+            return ad.mean(ad.sub(ad.softplus(out), ad.mul(Tensor(raw[:, None]), out)))
+        t = Tensor(((raw - t_mean) / t_std)[:, None])
+        return ad.mean(ad.power(ad.sub(out, t), 2))
 
-    best_params = clone_params(params)
-    best_epoch = 0
-    best_val = val_metric(params)
-    log.log_metric(0, 0, "finetune",
-                   "val_accuracy" if classification else "val_mae", best_val)
+    best_params, best_epoch = clone_params(params), 0
+    best_val = _score(params, dataset, val_idx, cfg, t_mean, t_std)
+    log.log_metric(0, 0, "finetune", f"val_{metric}", best_val)
 
-    step = 0
-    for epoch in range(cfg.epochs):
-        gen = RngStream(cfg.seed, "shuffle", epoch).generator()
-        order = train_idx[gen.permutation(len(train_idx))]
-        for start in range(0, len(order), cfg.batch_size):
-            batch_idx = order[start:start + cfg.batch_size]
-            graphs = [dataset.graphs[int(i)] for i in batch_idx]
-            raw = np.array([target_of[int(i)] for i in batch_idx])
-            with Tape() as tape:
-                batch = build_batch(graphs, dataset.node_feature_mode,
-                                    dataset.feature_table)
-                out = head_forward(params, encode(params, batch, cfg.model), cfg.task)
-                if classification:
-                    y = Tensor(raw[:, None])
-                    loss = ad.mean(ad.sub(ad.softplus(out), ad.mul(y, out)))
-                else:
-                    t = Tensor(((raw - t_mean) / t_std)[:, None])
-                    loss = ad.mean(ad.power(ad.sub(out, t), 2))
-                grads = backward(tape, loss)
-            adam_step(params, _grads_by_name(params, opt_names, grads), state,
-                      lr=cfg.lr, beta1=cfg.adam_beta1, beta2=cfg.adam_beta2,
-                      eps=cfg.adam_eps, weight_decay=cfg.weight_decay,
-                      decoupled=cfg.decoupled_weight_decay)
-            step += 1
-            if step % cfg.eval_every_steps == 0:
-                log.log_loss(step, epoch, "finetune", loss.item())
-        current = val_metric(params)
-        log.log_metric(step, epoch, "finetune",
-                       "val_accuracy" if classification else "val_mae", current)
-        better = current > best_val if classification else current < best_val
-        if better:
-            best_val = current
-            best_epoch = epoch + 1
-            best_params = clone_params(params)
+    def track_best(epoch: int, step: int):
+        nonlocal best_params, best_epoch, best_val
+        current = _score(params, dataset, val_idx, cfg, t_mean, t_std)
+        log.log_metric(step, epoch, "finetune", f"val_{metric}", current)
+        if current > best_val if classification else current < best_val:
+            best_params, best_epoch, best_val = clone_params(params), epoch + 1, current
 
-    test_preds = _predictions(best_params, dataset, test_idx, cfg)
-    if classification:
-        accuracy = float(((_sigmoid_np(test_preds) > 0.5) == (test_targets > 0.5)).mean())
-        metrics = Metrics(accuracy=accuracy, val_metric=best_val, best_epoch=best_epoch)
-        log.log_metric(step, cfg.epochs, "finetune", "test_accuracy", accuracy)
-    else:
-        mae = mean_absolute_error(test_preds * t_std + t_mean, test_targets)
-        metrics = Metrics(mae=mae, val_metric=best_val, best_epoch=best_epoch)
-        log.log_metric(step, cfg.epochs, "finetune", "test_mae", mae)
+    step = _train(params, finetune_param_names(params), train_idx, cfg, batch_loss,
+                  track_best, log)
+    test = _score(best_params, dataset, test_idx, cfg, t_mean, t_std)
+    log.log_metric(step, cfg.epochs, "finetune", f"test_{metric}", test)
+    metrics = Metrics(**{metric: test}, val_metric=best_val, best_epoch=best_epoch)
 
-    metadata = {
-        "phase": "finetune",
-        "epoch": best_epoch,
-        "loss_kind": cfg.loss.kind,
-        "surrogate_label_name": "surrogate_label",
-        "seed": cfg.seed,
-        "rng_cursor": {"seed": cfg.seed, "next_epoch": cfg.epochs},
-        "graph_config": asdict(cfg.graph),
-        "edge_feature_width": cfg.graph.n_centers,
-        "external_feature_width": table_width,
-        "task": cfg.task,
-        "target_mean": t_mean,
-        "target_std": t_std,
-    }
-    final = checkpoint_from_params(best_params, cfg.model, metadata)
+    final = checkpoint_from_params(best_params, cfg.model, _metadata(
+        cfg, dataset, best_epoch, cfg.epochs, task=cfg.task, target_mean=t_mean,
+        target_std=t_std, val_fraction=cfg.val_fraction,
+        test_fraction=cfg.test_fraction))
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         save_checkpoint(out_dir / "best.ckpt", final)
         log.save(out_dir / "log.csv")
-    return FinetuneResult(params=best_params, metrics=metrics, checkpoint=final,
-                          log=log)
-
-
-def _sigmoid_np(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    return TrainResult(params=best_params, checkpoint=final, log=log, metrics=metrics)
 
 
 def evaluate_checkpoint(dataset: GraphDataset, ckpt: Checkpoint,
                         cfg: TrainConfig) -> Metrics:
     """Score a fine-tuned checkpoint on the test split."""
     cfg = cfg.resolved("finetune")
-    task = ckpt.metadata.get("task", cfg.task)
-    cfg = replace(cfg, task=task)
-    splits = split_dataset(dataset.records, "finetune", cfg.seed,
-                           val_fraction=cfg.val_fraction,
-                           test_fraction=cfg.test_fraction)
-    test_idx = splits["test"]
-    test_targets = _targets(dataset, test_idx)
-    params = ckpt.to_params()
-    preds = _predictions(params, dataset, test_idx, cfg)
-    if task == "binary-classification":
-        accuracy = float(((_sigmoid_np(preds) > 0.5) == (test_targets > 0.5)).mean())
-        return Metrics(accuracy=accuracy)
-    t_mean = ckpt.metadata.get("target_mean", 0.0)
-    t_std = ckpt.metadata.get("target_std", 1.0)
-    mae = mean_absolute_error(preds * t_std + t_mean, test_targets)
-    return Metrics(mae=mae)
+    cfg = replace(cfg, task=ckpt.metadata.get("task", cfg.task))
+    score = _score(ckpt.to_params(), dataset, _finetune_splits(dataset, cfg)["test"],
+                   cfg, ckpt.metadata.get("target_mean", 0.0),
+                   ckpt.metadata.get("target_std", 1.0))
+    return Metrics(**{_metric_name(cfg.task): score})

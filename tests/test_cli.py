@@ -242,6 +242,36 @@ def test_embed_command(trained, synth_dir, tmp_path):
     assert (again / "embeddings.csv").read_bytes() == \
         (tmp_path / "embeddings.csv").read_bytes()
 
+    # a fine-tuned checkpoint exports the pooled encoder vectors, on the
+    # split it was trained with
+    pooled = tmp_path / "pooled"
+    assert run(["--out", pooled, "embed", synth_dir / "manifest.csv",
+                "--checkpoint", trained / "ft" / "best.ckpt"]) == 0
+    lines = (pooled / "embeddings.csv").read_text().strip().splitlines()
+    assert len(lines[0].split(",")) == 2 + 6  # hidden_dim=6 in FAST_TRAIN
+    assert len(lines) - 1 == 4
+
+
+def test_evaluate_uses_the_checkpoint_split(synth_dir, tmp_path):
+    manifest = synth_dir / "manifest.csv"
+    ft = tmp_path / "ft"
+    assert run(["--out", ft, "--seed", "3", *FAST_TRAIN, "--set", "train.epochs=3",
+                "finetune", manifest, "--no-pretrain"]) == 0
+    ckpt = ft / "best.ckpt"
+    assert run(["--out", tmp_path / "eval", *FAST_TRAIN,
+                "evaluate", manifest, "--checkpoint", ckpt]) == 0
+
+    def test_mae(out):
+        rows = (out / "metrics.csv").read_text().splitlines()
+        return float(dict(r.split(",") for r in rows[1:])["test_mae"])
+
+    # float32 checkpoint weights: close, not exact
+    assert math.isclose(test_mae(tmp_path / "eval"), test_mae(ft), rel_tol=1e-5)
+    assert run(["--out", tmp_path / "seed4", "--seed", "4",
+                "evaluate", manifest, "--checkpoint", ckpt]) == 2
+    assert run(["--out", tmp_path / "frac", "--set", "train.test_fraction=0.3",
+                "embed", manifest, "--checkpoint", ckpt]) == 2
+
 
 def test_augment_preview(synth_dir, tmp_path):
     manifest = load_manifest(synth_dir / "manifest.csv")

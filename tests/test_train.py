@@ -291,6 +291,21 @@ def test_finetune_deterministic():
     assert tuple(a.log.rows) == tuple(b.log.rows)
 
 
+def test_one_crystal_last_batch_skipped_by_pretraining_only():
+    # 22 crystals: 21 pretrain-train rows in batches of 4, 16 finetune-train
+    # rows in batches of 5; both leave a one-crystal last batch
+    dataset = synthetic_graph_dataset(22, seed=13)
+    pre_cfg, ft_cfg = small_config(batch_size=4), small_config(batch_size=5)
+    n_pre = len(split_dataset(dataset.records, "pretrain", 0)["train"])
+    n_ft = len(split_dataset(dataset.records, "finetune", 0)["train"])
+    assert (n_pre % 4, n_ft % 5) == (1, 1)
+    pre, ft = pretrain(dataset, pre_cfg), finetune(dataset, None, ft_cfg)
+    for result, rows_per_epoch in ((pre, n_pre // 4), (ft, math.ceil(n_ft / 5))):
+        for epoch in range(2):
+            losses = [r for r in result.log.rows if r[1] == epoch and r[3] != ""]
+            assert len(losses) == rows_per_epoch
+
+
 def test_evaluate_checkpoint_matches_finetune_test_metric():
     dataset = synthetic_graph_dataset(40, seed=11)
     cfg = small_config(epochs=2)
