@@ -1,6 +1,7 @@
 """Stochastic graph views: atom masking, edge masking, neighbor distance noising.
 
-The three augmentations run sequentially (atom, edge, noise). Masking zeroes
+The three augmentations run sequentially (atom, edge, noise); a zero
+fraction or gndn_delta turns one off. Masking zeroes
 feature contributions without touching topology; distance noising perturbs
 edge lengths only, never the underlying coordinates, and recomputes the
 Gaussian edge features from the noised distances.
@@ -20,9 +21,6 @@ class AugmentConfig:
     atom_mask_fraction: float = 0.10
     edge_mask_fraction: float = 0.10
     gndn_delta: float = 0.5
-    enable_atom_mask: bool = True
-    enable_edge_mask: bool = True
-    enable_gndn: bool = True
 
     def __post_init__(self):
         if not 0.0 <= self.atom_mask_fraction <= 1.0:
@@ -31,10 +29,6 @@ class AugmentConfig:
             raise ValueError("edge_mask_fraction must lie in [0, 1]")
         if self.gndn_delta < 0.0:
             raise ValueError("gndn_delta must be >= 0")
-
-    @classmethod
-    def disabled(cls) -> "AugmentConfig":
-        return cls(enable_atom_mask=False, enable_edge_mask=False, enable_gndn=False)
 
 
 def mask_count(fraction: float, n: int) -> int:
@@ -83,14 +77,9 @@ def gndn(graph: CrystalGraph, delta: float, rng: RngStream,
 def apply_augmentations(graph: CrystalGraph, cfg: AugmentConfig,
                         stream: RngStream, graph_cfg: GraphConfig) -> CrystalGraph:
     """One augmented view: atom mask, then edge mask, then distance noise."""
-    out = graph
-    if cfg.enable_atom_mask:
-        out = atom_mask(out, cfg.atom_mask_fraction, stream.child("atom-mask"))
-    if cfg.enable_edge_mask:
-        out = edge_mask(out, cfg.edge_mask_fraction, stream.child("edge-mask"))
-    if cfg.enable_gndn:
-        out = gndn(out, cfg.gndn_delta, stream.child("gndn"), graph_cfg)
-    return out if out is not graph else graph.copy()
+    out = atom_mask(graph, cfg.atom_mask_fraction, stream.child("atom-mask"))
+    out = edge_mask(out, cfg.edge_mask_fraction, stream.child("edge-mask"))
+    return gndn(out, cfg.gndn_delta, stream.child("gndn"), graph_cfg)
 
 
 def make_views(graph: CrystalGraph, cfg: AugmentConfig,

@@ -47,12 +47,11 @@ class EmptySegment(AutodiffError):
 
 
 class Tensor:
-    __slots__ = ("values", "requires_grad", "grad")
+    __slots__ = ("values", "requires_grad")
 
     def __init__(self, values, requires_grad: bool = False):
         self.values = np.asarray(values, dtype=np.float64)
         self.requires_grad = requires_grad
-        self.grad = None
 
     @property
     def shape(self):
@@ -67,36 +66,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __pow__(self, p):
-        return power(self, p)
-
-    def __neg__(self):
-        return mul(self, -1.0)
 
 
 class _Record:
@@ -159,7 +128,7 @@ def backward(tape: Tape, loss: Tensor) -> dict[Tensor, np.ndarray]:
     """Reverse accumulation over the tape in reverse record order.
 
     Returns gradients keyed by leaf tensor; leaves the loss never reached get
-    zeros. Also populates each leaf's .grad.
+    zeros.
     """
     if loss.size != 1:
         raise NotScalar(f"loss has shape {loss.shape}")
@@ -178,10 +147,7 @@ def backward(tape: Tape, loss: Tensor) -> dict[Tensor, np.ndarray]:
     out: dict[Tensor, np.ndarray] = {}
     for key, leaf in tape._leaves.items():
         g = grads.get(key)
-        if g is None:
-            g = np.zeros_like(leaf.values)
-        leaf.grad = g
-        out[leaf] = g
+        out[leaf] = np.zeros_like(leaf.values) if g is None else g
     return out
 
 
@@ -279,11 +245,6 @@ def gather_rows(a, index) -> Tensor:
         return (da,)
 
     return _make("gather_rows", a.values[index], (a,), backward_fn)
-
-
-def embedding_lookup(table, index) -> Tensor:
-    """Gather rows of a trainable table by integer index."""
-    return gather_rows(table, index)
 
 
 def segment_sum(a, segment_ids, num_segments: int) -> Tensor:

@@ -26,7 +26,7 @@ from .datasets import (DatasetManifest, ManifestError, PlacementFailure,
                        SyntheticConfig, element_frequencies,
                        generate_synthetic_dataset, load_manifest, load_structures,
                        shannon_entropy, write_dataset)
-from .graphs import GraphConfig, GraphError, build_graph
+from .graphs import GraphConfig, GraphError
 from .losses import LossConfig
 from .model import ModelConfig, build_batch, encode, project
 from .rng import RngStream
@@ -57,18 +57,13 @@ KEY_SPECS = {
     "graph.mu_max": ("graph", "mu_max", float),
     "graph.mu_step": ("graph", "mu_step", float),
     "graph.sigma": ("graph", "sigma", float),
-    "graph.node_feature_mode": ("graph", "node_feature_mode", str),
     "graph.feature_table": ("graph", "feature_table", str),
     "augment.atom_mask_fraction": ("augment", "atom_mask_fraction", float),
     "augment.edge_mask_fraction": ("augment", "edge_mask_fraction", float),
     "augment.gndn_delta": ("augment", "gndn_delta", float),
-    "augment.enable_atom_mask": ("augment", "enable_atom_mask", _parse_bool),
-    "augment.enable_edge_mask": ("augment", "enable_edge_mask", _parse_bool),
-    "augment.enable_gndn": ("augment", "enable_gndn", _parse_bool),
     "loss.kind": ("loss", "kind", str),
     "loss.temperature": ("loss", "temperature", float),
     "loss.lambda": ("loss", "lam", float),
-    "loss.alpha": ("loss", "lam", float),  # alias of lambda
     "loss.bt_mode": ("loss", "bt_mode", str),
     "loss.sbt_scale": ("loss", "sbt_scale", str),
     "model.hidden_dim": ("model", "hidden_dim", int),
@@ -255,7 +250,11 @@ def _reconcile_with_checkpoint(rc: RunConfig, cfg: TrainConfig, ckpt,
     elif asdict(cfg.model) != asdict(ckpt.model_config):
         raise ConfigError("model configuration conflicts with the checkpoint; "
                           "drop the model.* overrides or retrain")
-    stored_graph = ckpt.metadata.get("graph_config")
+    stored_graph = dict(ckpt.metadata.get("graph_config") or {})
+    # older checkpoints also stored a node_feature_mode, under which
+    # learned-embedding ignored any feature_table
+    if stored_graph.pop("node_feature_mode", None) == "learned-embedding":
+        stored_graph["feature_table"] = None
     if stored_graph and not any(k.startswith("graph.") for k in rc.provided):
         cfg = replace(cfg, graph=GraphConfig(**stored_graph))
     if ckpt.metadata.get("edge_feature_width") not in (None, cfg.graph.n_centers):
@@ -334,8 +333,7 @@ def cmd_embed(args, rc: RunConfig) -> int:
     for start in range(0, len(test_idx), cfg.batch_size):
         chunk = test_idx[start:start + cfg.batch_size]
         graphs = [dataset.graphs[int(i)] for i in chunk]  # un-augmented, always
-        batch = build_batch(graphs, dataset.node_feature_mode, dataset.feature_table)
-        pooled = encode(params, batch, cfg.model)
+        pooled = encode(params, build_batch(graphs), cfg.model)
         emb = pooled if finetuned else project(params, pooled)
         for row_i, i in enumerate(chunk):
             rec = dataset.records[int(i)]
@@ -361,8 +359,8 @@ def cmd_augment_preview(args, rc: RunConfig) -> int:
     index = next((k for k, rec in enumerate(manifest.records) if rec.id == args.id), None)
     if index is None:
         raise ManifestError(f"unknown record id: {args.id!r}")
-    structures = load_structures(DatasetManifest([manifest.records[index]]))
-    graph = build_graph(structures[args.id], cfg.graph)
+    graph = load_graph_dataset(DatasetManifest([manifest.records[index]]),
+                               cfg.graph).graphs[0]
     streams = (RngStream(cfg.seed, "augment", 0, index, 0),
                RngStream(cfg.seed, "augment", 0, index, 1))
     views = make_views(graph, cfg.augment, streams, cfg.graph)

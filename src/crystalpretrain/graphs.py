@@ -41,7 +41,7 @@ class GraphConfig:
     mu_max: float = 8.0
     mu_step: float = 0.2
     sigma: float = 0.2
-    node_feature_mode: str = "learned-embedding"
+    # CSV of fixed per-element node features; None means learned embeddings
     feature_table: str | None = None
 
     def __post_init__(self):
@@ -53,8 +53,6 @@ class GraphConfig:
             raise ValueError("mu_step and sigma must be positive")
         if self.mu_max <= self.mu_min:
             raise ValueError("mu_max must exceed mu_min")
-        if self.node_feature_mode not in ("learned-embedding", "external-table"):
-            raise ValueError(f"bad node_feature_mode {self.node_feature_mode!r}")
 
     @property
     def n_centers(self) -> int:
@@ -78,6 +76,8 @@ class CrystalGraph:
     distances: np.ndarray
     edge_features: np.ndarray
     crystal_id: str = ""
+    # (n_nodes, table width) rows of the external feature table, or None
+    node_features: np.ndarray | None = None
     node_masked: np.ndarray = field(default=None)
     edge_masked: np.ndarray = field(default=None)
 
@@ -104,6 +104,8 @@ class CrystalGraph:
             distances=self.distances.copy(),
             edge_features=self.edge_features.copy(),
             crystal_id=self.crystal_id,
+            node_features=(None if self.node_features is None
+                           else self.node_features.copy()),
             node_masked=self.node_masked.copy(),
             edge_masked=self.edge_masked.copy(),
         )
@@ -202,39 +204,20 @@ def load_feature_table(path) -> FeatureTable:
     return FeatureTable(rows=rows, width=width)
 
 
-@dataclass
-class NodeFeatures:
-    """Resolved initial node features for the encoder.
-
-    learned-embedding mode passes atomic numbers through as embedding-table
-    indices; external-table mode materializes fixed per-element vectors.
-    """
-
-    mode: str
-    indices: np.ndarray | None = None
-    matrix: np.ndarray | None = None
-
-
-def init_node_features(node_z: np.ndarray, mode: str,
-                       table: FeatureTable | None = None) -> NodeFeatures:
-    node_z = np.asarray(node_z, dtype=np.int64)
-    if mode == "learned-embedding":
-        return NodeFeatures(mode=mode, indices=node_z)
-    if mode == "external-table":
-        if table is None:
-            raise GraphError("external-table mode requires a feature table")
-        matrix = np.stack([table.lookup(int(z)) for z in node_z])
-        return NodeFeatures(mode=mode, matrix=matrix)
-    raise ValueError(f"bad node feature mode {mode!r}")
-
-
 def build_graph(structure: CrystalStructure, cfg: GraphConfig,
                 feature_table: FeatureTable | None = None) -> CrystalGraph:
-    """Neighbor search plus Gaussian edge features; deterministic."""
+    """Neighbor search plus Gaussian edge features; deterministic.
+
+    feature_table is cfg.feature_table loaded; when given, each atom's row
+    becomes its node features, and an element the table lacks raises
+    MissingTableEntry.
+    """
     src, dst, images, distances = neighbor_list(structure, cfg)
     edge_features = gaussian_expand(distances, cfg)
-    # fail fast if the external table cannot cover this structure
-    init_node_features(structure.atomic_numbers, cfg.node_feature_mode, feature_table)
+    node_features = None
+    if feature_table is not None:
+        node_features = np.stack([feature_table.lookup(int(z))
+                                  for z in structure.atomic_numbers])
     return CrystalGraph(
         node_z=structure.atomic_numbers.copy(),
         src=src,
@@ -243,4 +226,5 @@ def build_graph(structure: CrystalStructure, cfg: GraphConfig,
         distances=distances,
         edge_features=edge_features,
         crystal_id=structure.id,
+        node_features=node_features,
     )

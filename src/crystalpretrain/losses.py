@@ -75,11 +75,6 @@ class LossConfig:
             raise ValueError(f"unknown sbt_scale {self.sbt_scale!r}")
 
     @property
-    def alpha(self) -> float:
-        """Weight of the repel/decorrelate term; alias of lambda."""
-        return self.lam
-
-    @property
     def needs_labels(self) -> bool:
         return self.kind in ("supcon", "sup-bt")
 

@@ -16,7 +16,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .elements import MAX_Z
-from .graphs import CrystalGraph, FeatureTable, init_node_features
+from .graphs import CrystalGraph
 from .rng import RngStream
 
 TASKS = ("regression", "binary-classification")
@@ -136,7 +136,7 @@ class GraphBatch:
     """Several graphs fused into one disjoint union for a single forward pass."""
 
     node_z: np.ndarray
-    node_matrix: np.ndarray | None
+    node_matrix: np.ndarray | None  # external-table node features
     node_keep: np.ndarray  # 1.0 for live nodes, 0.0 for masked
     src: np.ndarray
     dst: np.ndarray
@@ -145,10 +145,8 @@ class GraphBatch:
     n_crystals: int
 
 
-def build_batch(graphs: list[CrystalGraph], mode: str = "learned-embedding",
-                table: FeatureTable | None = None) -> GraphBatch:
+def build_batch(graphs: list[CrystalGraph]) -> GraphBatch:
     node_z, keeps, srcs, dsts, feats, segs = [], [], [], [], [], []
-    matrices = []
     offset = 0
     for k, g in enumerate(graphs):
         node_z.append(g.node_z)
@@ -157,12 +155,11 @@ def build_batch(graphs: list[CrystalGraph], mode: str = "learned-embedding",
         dsts.append(g.dst + offset)
         feats.append(g.edge_features)
         segs.append(np.full(g.n_nodes, k, dtype=np.int64))
-        if mode == "external-table":
-            matrices.append(init_node_features(g.node_z, mode, table).matrix)
         offset += g.n_nodes
     return GraphBatch(
         node_z=np.concatenate(node_z),
-        node_matrix=np.concatenate(matrices) if matrices else None,
+        node_matrix=(None if graphs[0].node_features is None
+                     else np.concatenate([g.node_features for g in graphs])),
         node_keep=np.concatenate(keeps),
         src=np.concatenate(srcs),
         dst=np.concatenate(dsts),
@@ -177,7 +174,7 @@ def encode(params: dict[str, Tensor], batch: GraphBatch, cfg: ModelConfig) -> Te
     if batch.node_matrix is not None:
         feats = ad.matmul(Tensor(batch.node_matrix), params["input_projection"])
     else:
-        feats = ad.embedding_lookup(params["atom_embedding"], batch.node_z - 1)
+        feats = ad.gather_rows(params["atom_embedding"], batch.node_z - 1)
     if not batch.node_keep.all():
         keep = np.broadcast_to(batch.node_keep[:, None], feats.shape)
         feats = ad.mul(feats, Tensor(keep))
@@ -190,8 +187,6 @@ def encode(params: dict[str, Tensor], batch: GraphBatch, cfg: ModelConfig) -> Te
 
 
 def embed_graphs(params: dict[str, Tensor], graphs: list[CrystalGraph],
-                 cfg: ModelConfig, mode: str = "learned-embedding",
-                 table: FeatureTable | None = None) -> Tensor:
+                 cfg: ModelConfig) -> Tensor:
     """Graphs -> projected embeddings (len(graphs), embed_dim)."""
-    batch = build_batch(graphs, mode, table)
-    return project(params, encode(params, batch, cfg))
+    return project(params, encode(params, build_batch(graphs), cfg))

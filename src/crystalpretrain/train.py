@@ -215,7 +215,6 @@ class GraphDataset:
     records: list[ManifestRecord]
     graphs: list
     feature_table: FeatureTable | None = None
-    node_feature_mode: str = "learned-embedding"
 
     def __len__(self):
         return len(self.records)
@@ -226,11 +225,8 @@ def load_graph_dataset(manifest: DatasetManifest, graph_cfg: GraphConfig,
     """Parse all structures and build each graph once (augmentation happens
     per epoch on the cached graphs)."""
     structures = load_structures(manifest)
-    table = None
-    if graph_cfg.node_feature_mode == "external-table":
-        if not graph_cfg.feature_table:
-            raise TrainError("external-table mode requires graph.feature_table")
-        table = load_feature_table(graph_cfg.feature_table)
+    table = (load_feature_table(graph_cfg.feature_table)
+             if graph_cfg.feature_table else None)
     ordered = [structures[rec.id] for rec in manifest.records]
 
     def build(structure):
@@ -242,8 +238,7 @@ def load_graph_dataset(manifest: DatasetManifest, graph_cfg: GraphConfig,
     else:
         graphs = [build(s) for s in ordered]
     return GraphDataset(records=list(manifest.records), graphs=graphs,
-                        feature_table=table,
-                        node_feature_mode=graph_cfg.node_feature_mode)
+                        feature_table=table)
 
 
 # ---------------------------------------------------------------------------
@@ -405,6 +400,12 @@ def pretrain(dataset: GraphDataset, cfg: TrainConfig, out_dir=None,
     splits = split_dataset(dataset.records, "pretrain", cfg.seed,
                            pretrain_eval_fraction=cfg.pretrain_eval_fraction)
     train_idx, eval_idx = splits["train"], splits["eval"]
+    # over one crystal, nt-xent and supcon have no negatives and bt no batch
+    # statistics; sup-bt's same-class term is still defined
+    if len(eval_idx) < 2 and cfg.loss.kind != "sup-bt":
+        raise TrainError(f"{cfg.loss.kind} needs at least 2 eval crystals, the "
+                         f"pretrain eval split has {len(eval_idx)}; raise "
+                         "train.pretrain_eval_fraction")
     if cfg.loss.needs_labels:
         _batch_labels(dataset, np.concatenate([train_idx, eval_idx]), required=True)
     params = _init_params(cfg, dataset)
@@ -415,8 +416,7 @@ def pretrain(dataset: GraphDataset, cfg: TrainConfig, out_dir=None,
 
     def views_loss(indices, epoch, tag="augment") -> Tensor:
         pairs = _view_pairs(dataset, indices, cfg, epoch, tag)
-        z = embed_graphs(params, [view for pair in pairs for view in pair], cfg.model,
-                         dataset.node_feature_mode, dataset.feature_table)
+        z = embed_graphs(params, [view for pair in pairs for view in pair], cfg.model)
         return compute_loss(cfg.loss, z,
                             _batch_labels(dataset, indices, cfg.loss.needs_labels))
 
@@ -465,7 +465,7 @@ def _predictions(params, dataset: GraphDataset, indices, cfg: TrainConfig) -> np
     for start in range(0, len(indices), cfg.batch_size):
         chunk = indices[start:start + cfg.batch_size]
         graphs = [dataset.graphs[int(i)] for i in chunk]
-        batch = build_batch(graphs, dataset.node_feature_mode, dataset.feature_table)
+        batch = build_batch(graphs)
         out = head_forward(params, encode(params, batch, cfg.model), cfg.task)
         preds.append(out.values[:, 0])
     return np.concatenate(preds)
@@ -531,7 +531,7 @@ def finetune(dataset: GraphDataset, ckpt: Checkpoint | None, cfg: TrainConfig,
     def batch_loss(indices, epoch) -> Tensor:
         graphs = [dataset.graphs[int(i)] for i in indices]
         raw = np.array([target_of[int(i)] for i in indices])
-        batch = build_batch(graphs, dataset.node_feature_mode, dataset.feature_table)
+        batch = build_batch(graphs)
         out = head_forward(params, encode(params, batch, cfg.model), cfg.task)
         if classification:
             return ad.mean(ad.sub(ad.softplus(out), ad.mul(Tensor(raw[:, None]), out)))

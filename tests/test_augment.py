@@ -92,7 +92,7 @@ def test_gndn_stream_determinism(graph):
 
 
 def test_make_views_disabled_returns_graph(graph):
-    cfg = AugmentConfig.disabled()
+    cfg = AugmentConfig(atom_mask_fraction=0.0, edge_mask_fraction=0.0, gndn_delta=0.0)
     v1, v2 = make_views(graph, cfg, (RngStream(0, 0), RngStream(0, 1)), CFG)
     assert identical(v1, graph) and identical(v2, graph)
     assert v1 is not graph  # copies, not aliases
@@ -109,7 +109,7 @@ def test_make_views_differ_with_defaults(graph):
 
 
 def test_make_views_noise_only(graph):
-    cfg = AugmentConfig(enable_atom_mask=False, enable_edge_mask=False)
+    cfg = AugmentConfig(atom_mask_fraction=0.0, edge_mask_fraction=0.0)
     v1, v2 = make_views(graph, cfg, (RngStream(7, 0), RngStream(7, 1)), CFG)
     assert not v1.node_masked.any() and not v1.edge_masked.any()
     assert not np.array_equal(v1.distances, v2.distances)

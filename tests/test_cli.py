@@ -1,9 +1,19 @@
 import math
+from dataclasses import fields
 
+import numpy as np
 import pytest
 
-from crystalpretrain.cli import (ConfigError, RunConfig, main, read_config_file)
-from crystalpretrain.datasets import load_manifest
+from crystalpretrain.augment import AugmentConfig
+from crystalpretrain.checkpoint import load_checkpoint, save_checkpoint
+from crystalpretrain.cli import (KEY_SPECS, ConfigError, RunConfig, main,
+                                 read_config_file)
+from crystalpretrain.datasets import SyntheticConfig, load_manifest
+from crystalpretrain.elements import MAX_Z
+from crystalpretrain.graphs import GraphConfig
+from crystalpretrain.losses import LossConfig
+from crystalpretrain.model import ModelConfig
+from crystalpretrain.train import TrainConfig
 
 SYNTH = ["--set", "synth.n_crystals=20", "--set", "synth.max_atoms=4"]
 FAST_TRAIN = [
@@ -17,6 +27,11 @@ FAST_TRAIN = [
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def read_test_mae(out):
+    rows = (out / "metrics.csv").read_text().splitlines()
+    return float(dict(r.split(",") for r in rows[1:])["test_mae"])
 
 
 @pytest.fixture(scope="module")
@@ -65,6 +80,33 @@ def test_unknown_key_exits_2(synth_dir, capsys):
     code = run(["--set", "loss.gamma=1.0", "pretrain", synth_dir / "manifest.csv"])
     assert code == 2
     assert "loss.gamma" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["graph.node_feature_mode=external-table",
+                                 "augment.enable_atom_mask=false",
+                                 "augment.enable_edge_mask=false",
+                                 "augment.enable_gndn=false", "loss.alpha=0.25"])
+def test_removed_key_exits_2(synth_dir, tmp_path, capsys, key):
+    assert run(["--out", tmp_path / "out", "--set", key, "pretrain",
+                synth_dir / "manifest.csv"]) == 2
+    assert "unknown configuration key" in capsys.readouterr().err
+
+
+def test_key_specs_match_config_fields():
+    sections = {"graph": GraphConfig, "augment": AugmentConfig, "loss": LossConfig,
+                "model": ModelConfig, "train": TrainConfig, "synth": SyntheticConfig}
+    scalar = {section: {f.name for f in fields(cls)
+                        if f.name not in sections}  # TrainConfig's sub-configs
+              for section, cls in sections.items()}
+    keyed = {section: set() for section in sections}
+    for key, (section, attr, _) in KEY_SPECS.items():
+        assert attr in scalar[section], f"{key} names no field of {section}"
+        spelled = "lambda" if (section, attr) == ("loss", "lam") else attr
+        assert key == f"{section}.{spelled}"
+        keyed[section].add(attr)
+    # train.phase is set by the command, synth.seed by --seed
+    unkeyed = {(s, a) for s in sections for a in scalar[s] - keyed[s]}
+    assert unkeyed == {("train", "phase"), ("synth", "seed")}
 
 
 def test_invalid_value_exits_2(synth_dir):
@@ -152,11 +194,6 @@ def test_paper_configurations_accepted():
 
     with pytest.raises(ConfigError):
         RunConfig({"loss.gamma": "1.0"})
-
-
-def test_alpha_alias_sets_lambda():
-    rc = RunConfig({"loss.alpha": "0.25"})
-    assert rc.loss_config().lam == 0.25
 
 
 @pytest.fixture(scope="module")
@@ -261,12 +298,8 @@ def test_evaluate_uses_the_checkpoint_split(synth_dir, tmp_path):
     assert run(["--out", tmp_path / "eval", *FAST_TRAIN,
                 "evaluate", manifest, "--checkpoint", ckpt]) == 0
 
-    def test_mae(out):
-        rows = (out / "metrics.csv").read_text().splitlines()
-        return float(dict(r.split(",") for r in rows[1:])["test_mae"])
-
     # float32 checkpoint weights: close, not exact
-    assert math.isclose(test_mae(tmp_path / "eval"), test_mae(ft), rel_tol=1e-5)
+    assert math.isclose(read_test_mae(tmp_path / "eval"), read_test_mae(ft), rel_tol=1e-5)
     assert run(["--out", tmp_path / "seed4", "--seed", "4",
                 "evaluate", manifest, "--checkpoint", ckpt]) == 2
     assert run(["--out", tmp_path / "frac", "--set", "train.test_fraction=0.3",
@@ -306,3 +339,58 @@ def test_augment_preview_zero_delta(synth_dir, tmp_path):
     for line in lines:
         row = line.split(",")
         assert row[4] == row[5]
+
+
+def test_pretrain_refuses_a_one_crystal_eval_split(synth_dir, tmp_path):
+    # 20 crystals x 0.05 leave one eval crystal
+    one_eval = [*FAST_TRAIN, "--set", "train.pretrain_eval_fraction=0.05"]
+    for kind in ("bt", "nt-xent"):
+        out = tmp_path / kind
+        assert run(["--out", out, "--seed", "1", *one_eval, "--set",
+                    f"loss.kind={kind}", "pretrain", synth_dir / "manifest.csv"]) == 3
+        assert not list(out.glob("*.ckpt"))
+    # sup-bt's same-class term is defined for a single crystal
+    assert run(["--out", tmp_path / "sup-bt", "--seed", "1", *one_eval,
+                "pretrain", synth_dir / "manifest.csv"]) == 0
+
+
+def test_external_feature_table_end_to_end(trained, synth_dir, tmp_path):
+    table = tmp_path / "table.csv"
+    gen = np.random.default_rng(0)
+    rows = [f"{z}," + ",".join(repr(float(v)) for v in gen.normal(size=3))
+            for z in range(1, MAX_Z + 1)]
+    table.write_text("z,f0,f1,f2\n" + "\n".join(rows) + "\n")
+    manifest = synth_dir / "manifest.csv"
+    cfg = ["--seed", "1", *FAST_TRAIN, "--set", f"graph.feature_table={table}"]
+
+    assert run(["--out", tmp_path / "pre", *cfg, "pretrain", manifest]) == 0
+    pre = load_checkpoint(tmp_path / "pre" / "final.ckpt")
+    assert pre.tensors["input_projection"].shape == (3, 6)
+    assert "atom_embedding" not in pre.tensors
+    assert run(["--out", tmp_path / "ft", *cfg, "finetune", manifest,
+                "--checkpoint", tmp_path / "pre" / "final.ckpt"]) == 0
+    ckpt = tmp_path / "ft" / "best.ckpt"
+    assert run(["--out", tmp_path / "eval", *cfg, "evaluate", manifest,
+                "--checkpoint", ckpt]) == 0
+    assert run(["--out", tmp_path / "emb", *cfg, "embed", manifest,
+                "--checkpoint", ckpt]) == 0
+    assert run(["--out", tmp_path / "aug", *cfg, "augment-preview", manifest,
+                "--id", load_manifest(manifest).records[0].id]) == 0
+
+    ft_mae = read_test_mae(tmp_path / "ft")
+    assert math.isclose(read_test_mae(tmp_path / "eval"), ft_mae, rel_tol=1e-5)
+
+    # checkpoints written before graph.node_feature_mode was removed still
+    # carry it; without graph.* overrides their stored graph config is adopted
+    old_ft = load_checkpoint(ckpt)
+    old_ft.metadata["graph_config"]["node_feature_mode"] = "external-table"
+    learned = load_checkpoint(trained / "ft" / "best.ckpt")
+    learned.metadata["graph_config"].update(node_feature_mode="learned-embedding",
+                                            feature_table=str(table))
+    for name, old, expected in (("external", old_ft, ft_mae),
+                                ("learned", learned, read_test_mae(trained / "ft"))):
+        save_checkpoint(tmp_path / f"{name}.ckpt", old)
+        out = tmp_path / f"eval-{name}"
+        assert run(["--out", out, "evaluate", manifest,
+                    "--checkpoint", tmp_path / f"{name}.ckpt"]) == 0
+        assert math.isclose(read_test_mae(out), expected, rel_tol=1e-5)

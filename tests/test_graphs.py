@@ -6,8 +6,7 @@ import pytest
 from crystalpretrain.graphs import (FeatureTable, GraphConfig,
                                     GraphError, IsolatedAtom, MissingTableEntry,
                                     build_graph, frac_to_cart, gaussian_expand,
-                                    init_node_features, load_feature_table,
-                                    neighbor_list)
+                                    load_feature_table, neighbor_list)
 from crystalpretrain.structures import CrystalStructure, lattice_from_parameters
 from conftest import random_structure
 from oracles import brute_force_neighbors
@@ -28,7 +27,7 @@ def test_graph_config_defaults():
 
 def test_graph_config_invariants():
     for bad in (dict(radius=0.0), dict(max_neighbors=0), dict(mu_step=0.0),
-                dict(sigma=-1.0), dict(mu_max=0.0), dict(node_feature_mode="x")):
+                dict(sigma=-1.0), dict(mu_max=0.0)):
         with pytest.raises(ValueError):
             GraphConfig(**bad)
 
@@ -134,20 +133,19 @@ def test_gaussian_expand_properties():
     assert (feats.argmax(axis=1) == nearest).all()
 
 
-def test_init_node_features_modes():
-    spec = init_node_features(np.array([26, 8]), "learned-embedding")
-    assert spec.indices.tolist() == [26, 8]
-    assert spec.matrix is None
+def test_build_graph_feature_table_lookup():
+    s = CrystalStructure(np.diag([3.0, 3.0, 3.0]),
+                         [[0.0, 0.0, 0.0], [0.5, 0.5, 0.5]], [26, 8])
+    cfg = GraphConfig(radius=4.0)
+    assert build_graph(s, cfg).node_features is None
 
     table = FeatureTable(rows={26: np.array([1.0, 2.0]), 8: np.array([3.0, 4.0])},
                          width=2)
-    spec = init_node_features(np.array([26, 8]), "external-table", table)
-    assert spec.matrix.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    g = build_graph(s, cfg, table)
+    assert g.node_features.tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
     with pytest.raises(MissingTableEntry) as err:
-        init_node_features(np.array([26, 8]),
-                           "external-table",
-                           FeatureTable(rows={26: np.array([1.0, 2.0])}, width=2))
+        build_graph(s, cfg, FeatureTable(rows={26: np.array([1.0, 2.0])}, width=2))
     assert err.value.z == 8
 
 

@@ -308,9 +308,9 @@ def test_compute_loss_dispatch():
         compute_loss(LossConfig(kind="supcon"), z, None)
 
 
-def test_loss_config_validation_and_alias():
+def test_loss_config_validation():
     cfg = LossConfig(kind="sup-bt", lam=0.0051)
-    assert cfg.alpha == cfg.lam == 0.0051
+    assert cfg.lam == 0.0051
     assert cfg.temperature == 0.03  # default
     for bad in (dict(kind="simclr"), dict(temperature=0.0), dict(lam=-1.0),
                 dict(bt_mode="diag"), dict(sbt_scale="sqrt")):

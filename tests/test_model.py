@@ -185,8 +185,8 @@ def test_masked_nodes_zeroed_at_lookup():
 
 def test_identical_views_identical_embeddings():
     g = toy_graphs(1, seed=9)[0]
-    v1, v2 = make_views(g, AugmentConfig.disabled(),
-                        (RngStream(0, 0), RngStream(0, 1)), GCFG)
+    no_aug = AugmentConfig(atom_mask_fraction=0.0, edge_mask_fraction=0.0, gndn_delta=0.0)
+    v1, v2 = make_views(g, no_aug, (RngStream(0, 0), RngStream(0, 1)), GCFG)
     params = init_params(CFG, seed=4)
     z = embed_graphs(params, [v1, v2], CFG)
     assert np.array_equal(z.values[0], z.values[1])
@@ -200,7 +200,7 @@ def test_conv_gradient_check():
 
     def f(p):
         named = dict(zip(order, p))
-        feats = ad.embedding_lookup(named["atom_embedding"], batch.node_z - 1)
+        feats = ad.gather_rows(named["atom_embedding"], batch.node_z - 1)
         out = cgcnn_conv(feats, Tensor(batch.edge_features), batch.src, batch.dst,
                          named["conv0.gate_weight"], named["conv0.gate_bias"],
                          named["conv0.self_weight"], named["conv0.self_bias"])
@@ -231,14 +231,14 @@ def test_full_forward_gradient_check():
 
 def test_external_table_mode():
     from crystalpretrain.graphs import FeatureTable
-    g = toy_graphs(1, seed=2)[0]
+    s = random_structure(2, max_atoms=5)
     width = 5
     rows = {int(z): np.random.default_rng(int(z)).normal(size=width)
-            for z in np.unique(g.node_z)}
+            for z in np.unique(s.atomic_numbers)}
     table = FeatureTable(rows=rows, width=width)
     params = init_params(CFG, seed=3, external_feature_width=width)
     assert "input_projection" in params and "atom_embedding" not in params
-    batch = build_batch([g], "external-table", table)
+    batch = build_batch([build_graph(s, GCFG, table)])
     pooled = encode(params, batch, CFG)
     assert pooled.shape == (1, CFG.hidden_dim)
     assert np.isfinite(pooled.values).all()

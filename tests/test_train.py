@@ -85,6 +85,22 @@ def test_adam_weight_decay_folded_into_gradient():
     assert params["w"].values[0] < 2.0
 
 
+@pytest.mark.parametrize("decoupled", [False, True])
+def test_adam_weight_decay_modes_hand_value(decoupled):
+    theta, g, lr, wd, eps = 2.0, 0.5, 0.01, 0.1, 1e-8
+    params = {"w": Tensor(np.array([theta]), requires_grad=True)}
+    state = AdamState.for_params(params, ["w"])
+    adam_step(params, {"w": np.array([g])}, state, lr=lr, eps=eps, weight_decay=wd,
+              decoupled=decoupled)
+    # t=1: m_hat = g', v_hat = g'^2, so the Adam step is lr * |g'| / (|g'| + eps)
+    if decoupled:
+        expected = theta - lr * wd * theta - lr * g / (g + eps)
+    else:
+        folded = g + wd * theta
+        expected = theta - lr * folded / (folded + eps)
+    assert math.isclose(params["w"].values[0], expected, rel_tol=1e-12)
+
+
 def test_adam_quadratic_convergence():
     gen = np.random.default_rng(0)
     theta = gen.normal(size=8)
@@ -230,11 +246,12 @@ def test_pretrain_single_class_batch_is_fine():
 
 def test_pretrain_identical_views_lower_nt_xent():
     dataset = synthetic_graph_dataset(24, seed=5)
+    # two eval crystals: nt-xent refuses a one-crystal eval split
     base = dict(loss=LossConfig(kind="nt-xent", temperature=0.5), epochs=1,
-                batch_size=24)
+                batch_size=24, pretrain_eval_fraction=0.1)
     on = pretrain(dataset, small_config(**base))
-    off = pretrain(dataset, small_config(**base,
-                                         augment=AugmentConfig.disabled()))
+    no_aug = AugmentConfig(atom_mask_fraction=0.0, edge_mask_fraction=0.0, gndn_delta=0.0)
+    off = pretrain(dataset, small_config(**base, augment=no_aug))
     first = lambda res: float(next(r[3] for r in res.log.rows if r[3] != ""))
     assert first(off) < first(on)
 
