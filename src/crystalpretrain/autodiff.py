@@ -1,7 +1,7 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
 Covers exactly the operator set the encoder and losses need: matmul,
-elementwise arithmetic with scalar broadcast, concat, gathers, segment
+elementwise arithmetic with same-rank broadcasting, concat, gathers, segment
 reductions, pointwise nonlinearities, axis reductions, row normalization and
 per-feature batch standardization. Every op checks its output for NaN/Inf.
 
@@ -152,45 +152,51 @@ def backward(tape: Tape, loss: Tensor) -> dict[Tensor, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# elementwise arithmetic (equal shapes, or scalar broadcast)
+# elementwise arithmetic (same-rank broadcasting, or a size-1 operand)
 # ---------------------------------------------------------------------------
 
 def _reduce_to(g: np.ndarray, shape) -> np.ndarray:
-    if g.shape == tuple(shape):
+    """Sum g back over the axes that were broadcast to reach its shape."""
+    if g.shape == shape:
         return g
-    return np.sum(g).reshape(shape) if int(np.prod(shape)) == 1 else g
+    if g.ndim != len(shape):  # a size-1 operand of lower rank
+        return np.sum(g).reshape(shape)
+    axes = tuple(k for k, n in enumerate(shape) if n != g.shape[k])
+    return np.sum(g, axis=axes, keepdims=True)
 
 
-def _check_binary(op: str, a: Tensor, b: Tensor):
-    if a.shape != b.shape and a.size != 1 and b.size != 1:
-        raise ShapeMismatch(op, a.shape, b.shape)
+def _operands(op: str, a, b) -> tuple[Tensor, Tensor]:
+    """Both as Tensors, of equal rank with axes that match or are 1, or one
+    of size 1 and lower rank than the other; (n,) never meets (n, 1)."""
+    a, b = _as_tensor(a), _as_tensor(b)
+    sa, sb = a.shape, b.shape
+    if not (len(sa) == len(sb) and all(m == n or 1 in (m, n) for m, n in zip(sa, sb))
+            or a.size == 1 and len(sa) < len(sb) or b.size == 1 and len(sb) < len(sa)):
+        raise ShapeMismatch(op, sa, sb)
+    return a, b
 
 
 def add(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    _check_binary("add", a, b)
+    a, b = _operands("add", a, b)
     return _make("add", a.values + b.values, (a, b),
                  lambda g: (_reduce_to(g, a.shape), _reduce_to(g, b.shape)))
 
 
 def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    _check_binary("sub", a, b)
+    a, b = _operands("sub", a, b)
     return _make("sub", a.values - b.values, (a, b),
                  lambda g: (_reduce_to(g, a.shape), _reduce_to(-g, b.shape)))
 
 
 def mul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    _check_binary("mul", a, b)
+    a, b = _operands("mul", a, b)
     return _make("mul", a.values * b.values, (a, b),
                  lambda g: (_reduce_to(g * b.values, a.shape),
                             _reduce_to(g * a.values, b.shape)))
 
 
 def div(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    _check_binary("div", a, b)
+    a, b = _operands("div", a, b)
     return _make("div", a.values / b.values, (a, b),
                  lambda g: (_reduce_to(g / b.values, a.shape),
                             _reduce_to(-g * a.values / (b.values * b.values), b.shape)))
@@ -218,19 +224,12 @@ def transpose(a) -> Tensor:
 def concat(tensors) -> Tensor:
     """Concatenate 2D tensors along the last axis."""
     tensors = [_as_tensor(t) for t in tensors]
-    if not tensors or any(t.values.ndim != 2 for t in tensors):
+    if not tensors or any(t.values.ndim != 2 or t.shape[0] != tensors[0].shape[0]
+                          for t in tensors):
         raise ShapeMismatch("concat", *[t.shape for t in tensors])
-    rows = tensors[0].shape[0]
-    if any(t.shape[0] != rows for t in tensors):
-        raise ShapeMismatch("concat", *[t.shape for t in tensors])
-    widths = [t.shape[1] for t in tensors]
-    splits = np.cumsum(widths)[:-1]
-
-    def backward_fn(g):
-        return tuple(np.split(g, splits, axis=1))
-
+    splits = np.cumsum([t.shape[1] for t in tensors])[:-1]
     return _make("concat", np.concatenate([t.values for t in tensors], axis=1),
-                 tuple(tensors), backward_fn)
+                 tuple(tensors), lambda g: tuple(np.split(g, splits, axis=1)))
 
 
 def gather_rows(a, index) -> Tensor:
@@ -258,19 +257,12 @@ def segment_sum(a, segment_ids, num_segments: int) -> Tensor:
 
 
 def segment_mean(a, segment_ids, num_segments: int) -> Tensor:
-    a = _as_tensor(a)
-    segment_ids = np.asarray(segment_ids, dtype=np.int64)
-    if a.values.ndim != 2 or len(segment_ids) != a.shape[0]:
-        raise ShapeMismatch("segment_mean", a.shape, segment_ids.shape)
-    counts = np.bincount(segment_ids, minlength=num_segments).astype(np.float64)
+    total = segment_sum(a, segment_ids, num_segments)
+    counts = np.bincount(np.asarray(segment_ids, dtype=np.int64), minlength=num_segments)
     empty = np.nonzero(counts == 0)[0]
     if len(empty):
         raise EmptySegment(empty.tolist())
-    total = np.zeros((num_segments, a.shape[1]))
-    np.add.at(total, segment_ids, a.values)
-    out = total / counts[:, None]
-    return _make("segment_mean", out, (a,),
-                 lambda g: ((g / counts[:, None])[segment_ids],))
+    return div(total, counts[:, None])
 
 
 # ---------------------------------------------------------------------------
@@ -296,12 +288,7 @@ def power(a, p: float) -> Tensor:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
 def sigmoid(a) -> Tensor:
@@ -331,23 +318,15 @@ def sum_(a, axis: int | None = None) -> Tensor:
     a = _as_tensor(a)
 
     def backward_fn(g):
-        if axis is None:
-            return (np.full_like(a.values, float(g)),)
-        return (np.broadcast_to(np.expand_dims(g, axis), a.shape).copy(),)
+        g = g if axis is None else np.expand_dims(g, axis)
+        return (np.broadcast_to(g, a.shape).copy(),)
 
     return _make("sum", np.sum(a.values, axis=axis), (a,), backward_fn)
 
 
 def mean(a, axis: int | None = None) -> Tensor:
     a = _as_tensor(a)
-    n = a.size if axis is None else a.shape[axis]
-
-    def backward_fn(g):
-        if axis is None:
-            return (np.full_like(a.values, float(g) / n),)
-        return (np.broadcast_to(np.expand_dims(g / n, axis), a.shape).copy(),)
-
-    return _make("mean", np.mean(a.values, axis=axis), (a,), backward_fn)
+    return div(sum_(a, axis), a.size if axis is None else a.shape[axis])
 
 
 # ---------------------------------------------------------------------------

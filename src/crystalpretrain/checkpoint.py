@@ -129,7 +129,13 @@ def load_checkpoint(path) -> Checkpoint:
     pos += 8
     if pos + header_len > len(data):
         raise TruncatedPayload(pos + header_len, len(data))
-    header = json.loads(data[pos:pos + header_len].decode("utf-8"))
+    try:
+        header = json.loads(data[pos:pos + header_len].decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
+        raise CheckpointError(f"checkpoint header is not UTF-8 JSON: {exc}") from None
+    required = {"tensors", "payload_bytes", "model_config"}
+    if not (isinstance(header, dict) and required <= header.keys()):
+        raise CheckpointError(f"checkpoint header lacks one of {sorted(required)}")
     payload = data[pos + header_len:]
     if len(payload) < header["payload_bytes"]:
         raise TruncatedPayload(header["payload_bytes"], len(payload))

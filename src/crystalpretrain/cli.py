@@ -277,7 +277,8 @@ def _prepare(args, rc: RunConfig):
     """The command's checkpoint (None for pretrain and --no-pretrain), its
     configuration reconciled with that checkpoint, the output directory and
     the graph dataset. evaluate and embed score the split the checkpoint was
-    trained with."""
+    trained with. A feature table whose digest differs from the one the
+    checkpoint stores is refused."""
     path = getattr(args, "checkpoint", None)
     if getattr(args, "no_pretrain", False):
         if path:
@@ -291,6 +292,10 @@ def _prepare(args, rc: RunConfig):
     out = _out_dir(args)
     dataset = load_graph_dataset(load_manifest(args.manifest), cfg.graph,
                                  n_workers=cfg.n_workers)
+    trained_on = ckpt.metadata.get("feature_table_sha256") if ckpt else None
+    if trained_on and getattr(dataset.feature_table, "sha256", None) != trained_on:
+        raise GraphError(f"graph.feature_table={cfg.graph.feature_table} is not the "
+                         f"table the checkpoint was trained with (SHA-256 {trained_on})")
     return ckpt, cfg, out, dataset
 
 

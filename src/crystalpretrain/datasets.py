@@ -113,18 +113,19 @@ def load_manifest(path) -> DatasetManifest:
         for row in reader:
             if not row or all(not cell.strip() for cell in row):
                 continue
-            cell = lambda name: row[idx[name]].strip()
-            label = cell("surrogate_label")
-            target = cell("target")
-            split = cell("split")
-            cif = cell("cif_path")
+            where = f"{path}:{reader.line_num}"
+            if len(row) < len(header):
+                raise ManifestError(f"{where}: {len(row)} cells for {len(header)} columns")
+            cell = {col: row[k].strip() for col, k in idx.items()}
+            try:
+                label = int(cell["surrogate_label"]) if cell["surrogate_label"] else None
+                target = float(cell["target"]) if cell["target"] else None
+            except ValueError as exc:
+                raise ManifestError(f"{where}: {exc}") from None
+            cif = Path(cell["cif_path"])
             records.append(ManifestRecord(
-                id=cell("id"),
-                cif_path=str((base / cif) if not Path(cif).is_absolute() else Path(cif)),
-                surrogate_label=int(label) if label else None,
-                target=float(target) if target else None,
-                split=split if split else None,
-            ))
+                id=cell["id"], cif_path=str(cif if cif.is_absolute() else base / cif),
+                surrogate_label=label, target=target, split=cell["split"] or None))
     return DatasetManifest(records)
 
 

@@ -8,8 +8,11 @@ of Gaussian basis functions.
 from __future__ import annotations
 
 import csv
+import hashlib
+import io
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -123,6 +126,9 @@ def _image_ranges(lattice: np.ndarray, radius: float) -> tuple[int, int, int]:
     return tuple(int(math.ceil(radius / h)) + 1 for h in heights)
 
 
+_CANDIDATE_BUDGET = 2 ** 21  # (anchor, neighbor, image) triples per block
+
+
 def neighbor_list(structure: CrystalStructure, cfg: GraphConfig
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """All periodic neighbors within the cutoff, at most max_neighbors each.
@@ -139,13 +145,17 @@ def neighbor_list(structure: CrystalStructure, cfg: GraphConfig
     offsets = np.stack([g.ravel() for g in grids], axis=1)
     shifts = offsets @ structure.lattice
 
-    # disp[i, j, o] = r_j + shift_o - r_i
-    disp = cart[None, :, None, :] + shifts[None, None, :, :] - cart[:, None, None, :]
-    dist = np.sqrt((disp * disp).sum(axis=-1))
-    within = (dist > 0.0) & (dist <= cfg.radius)
-
-    anchor_idx, neigh_idx, off_idx = np.nonzero(within)
-    d = dist[anchor_idx, neigh_idx, off_idx]
+    image_pos = cart[:, None, :] + shifts[None, :, :]  # r_j + shift_o
+    # blocks of anchors bound the temporaries whatever the cell size
+    per_block = max(1, _CANDIDATE_BUDGET // (n * len(offsets)))
+    blocks = []
+    for lo in range(0, n, per_block):
+        # disp[i, j, o] = r_j + shift_o - r_i
+        disp = image_pos[None] - cart[lo:lo + per_block, None, None, :]
+        dist = np.sqrt((disp * disp).sum(axis=-1))
+        a, j, o = np.nonzero((dist > 0.0) & (dist <= cfg.radius))
+        blocks.append((a + lo, j, o, dist[a, j, o]))
+    anchor_idx, neigh_idx, off_idx, d = (np.concatenate(c) for c in zip(*blocks))
     img = offsets[off_idx]
 
     order = np.lexsort((img[:, 2], img[:, 1], img[:, 0], neigh_idx, d, anchor_idx))
@@ -176,6 +186,7 @@ def gaussian_expand(distances: np.ndarray, cfg: GraphConfig) -> np.ndarray:
 class FeatureTable:
     rows: dict[int, np.ndarray]
     width: int
+    sha256: str | None = None  # hex digest of the file's bytes
 
     def lookup(self, z: int) -> np.ndarray:
         if z not in self.rows:
@@ -185,23 +196,25 @@ class FeatureTable:
 
 def load_feature_table(path) -> FeatureTable:
     """Read an external node-feature table: CSV header z,f0,f1,... ."""
+    data = Path(path).read_bytes()
+    reader = csv.reader(io.StringIO(data.decode("utf-8"), newline=""))
+    header = next(reader, None)
+    if not header or header[0].strip() != "z":
+        raise GraphError("feature table must start with header z,f0,f1,...")
+    width = len(header) - 1
+    if width < 1:
+        raise GraphError("feature table needs at least one feature column")
     rows: dict[int, np.ndarray] = {}
-    width = None
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or not header or header[0].strip() != "z":
-            raise GraphError("feature table must start with header z,f0,f1,...")
-        width = len(header) - 1
-        if width < 1:
-            raise GraphError("feature table needs at least one feature column")
-        for row in reader:
-            if not row:
-                continue
-            if len(row) - 1 != width:
-                raise GraphError(f"feature table row width {len(row) - 1} != {width}")
+    for row in reader:
+        if not row:
+            continue
+        if len(row) - 1 != width:
+            raise GraphError(f"feature table row width {len(row) - 1} != {width}")
+        try:
             rows[int(row[0])] = np.array([float(x) for x in row[1:]])
-    return FeatureTable(rows=rows, width=width)
+        except ValueError as exc:
+            raise GraphError(f"{path}:{reader.line_num}: {exc}") from None
+    return FeatureTable(rows=rows, width=width, sha256=hashlib.sha256(data).hexdigest())
 
 
 def build_graph(structure: CrystalStructure, cfg: GraphConfig,

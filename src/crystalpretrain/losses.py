@@ -96,11 +96,10 @@ def _check_rows(z: Tensor):
 
 def _log_denominators(sims: Tensor) -> Tensor:
     """log sum_{a != i} exp(sims[i, a]) per row, max-shifted for stability."""
-    n = sims.shape[0]
     row_max = sims.values.max(axis=1)  # detached shift; exact either way
-    shifted = ad.sub(sims, Tensor(np.broadcast_to(row_max[:, None], (n, n))))
-    masked = ad.mul(ad.exp(shifted), Tensor(1.0 - np.eye(n)))
-    return ad.add(ad.log(ad.sum_(masked, axis=1)), Tensor(row_max))
+    shifted = ad.sub(sims, row_max[:, None])
+    masked = ad.mul(ad.exp(shifted), 1.0 - np.eye(sims.shape[0]))
+    return ad.add(ad.log(ad.sum_(masked, axis=1)), row_max)
 
 
 def _pair_similarities(z: Tensor, temperature: float) -> Tensor:
@@ -115,9 +114,7 @@ def nt_xent(z: Tensor, temperature: float) -> Tensor:
     if n < 2 or n % 2:
         raise ValueError(f"nt_xent needs an even number of view rows, got {n}")
     sims = _pair_similarities(z, temperature)
-    partner = np.arange(n) ^ 1
-    pos_mask = np.zeros((n, n))
-    pos_mask[np.arange(n), partner] = 1.0
+    pos_mask = np.eye(n)[np.arange(n) ^ 1]  # row i marks its partner view
     pos = ad.sum_(ad.mul(sims, Tensor(pos_mask)), axis=1)
     return ad.sum_(ad.sub(_log_denominators(sims), pos))
 
@@ -140,15 +137,11 @@ def supcon(z: Tensor, labels, temperature: float) -> Tensor:
 
 
 def _check_degenerate(z1: Tensor, z2: Tensor):
-    bad = []
-    for d in range(z1.shape[1]):
-        c1, c2 = z1.values[:, d], z2.values[:, d]
-        flat1 = (c1 == c1[0]).all()
-        flat2 = (c2 == c2[0]).all()
-        if (flat1 or flat2) and not (flat1 and flat2 and (c1 == c2).all()):
-            bad.append(d)
-    if bad:
-        raise DegenerateFeature(bad)
+    v1, v2 = z1.values, z2.values
+    flat1, flat2 = (v1 == v1[0]).all(axis=0), (v2 == v2[0]).all(axis=0)
+    bad = np.nonzero((flat1 | flat2) & ~(flat1 & flat2 & (v1 == v2).all(axis=0)))[0]
+    if len(bad):
+        raise DegenerateFeature(bad.tolist())
 
 
 def barlow_twins(z1: Tensor, z2: Tensor, lam: float) -> Tensor:
@@ -164,7 +157,7 @@ def barlow_twins(z1: Tensor, z2: Tensor, lam: float) -> Tensor:
     corr = ad.mul(ad.matmul(ad.transpose(s1), s2), 1.0 / b)
     eye = np.eye(d)
     diag = ad.sum_(ad.mul(corr, Tensor(eye)), axis=1)
-    on_term = ad.sum_(ad.power(ad.sub(Tensor(np.ones(d)), diag), 2))
+    on_term = ad.sum_(ad.power(ad.sub(1.0, diag), 2))
     off_term = ad.sum_(ad.power(ad.mul(corr, Tensor(1.0 - eye)), 2))
     return ad.add(on_term, ad.mul(off_term, lam))
 
@@ -192,10 +185,8 @@ def sup_bt(z1: Tensor, z2: Tensor, labels, lam: float, bt_mode: str = "full",
     if sbt_scale == "inv_d":
         sims = ad.mul(sims, 1.0 / d)
     mask = build_class_mask(labels)
-    ones = Tensor(np.ones((b, b)))
-    same = ad.sum_(ad.power(ad.mul(ad.sub(ones, sims), Tensor(mask)), 2))
-    diff = ad.mul(ad.sum_(ad.power(ad.mul(ad.add(ones, sims), Tensor(1.0 - mask)), 2)),
-                  lam)
+    same = ad.sum_(ad.power(ad.mul(ad.sub(1.0, sims), mask), 2))
+    diff = ad.mul(ad.sum_(ad.power(ad.mul(ad.add(1.0, sims), 1.0 - mask), 2)), lam)
     if bt_mode == "on_diag_only":
         return same
     if bt_mode == "off_diag_only":

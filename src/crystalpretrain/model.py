@@ -94,8 +94,7 @@ def finetune_param_names(params: dict[str, Tensor]) -> list[str]:
 
 
 def _affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    ones = Tensor(np.ones((x.shape[0], 1)))
-    return ad.add(ad.matmul(x, w), ad.matmul(ones, b))
+    return ad.add(ad.matmul(x, w), b)
 
 
 def cgcnn_conv(node_feats: Tensor, edge_feats: Tensor, src: np.ndarray,
@@ -176,8 +175,7 @@ def encode(params: dict[str, Tensor], batch: GraphBatch, cfg: ModelConfig) -> Te
     else:
         feats = ad.gather_rows(params["atom_embedding"], batch.node_z - 1)
     if not batch.node_keep.all():
-        keep = np.broadcast_to(batch.node_keep[:, None], feats.shape)
-        feats = ad.mul(feats, Tensor(keep))
+        feats = ad.mul(feats, batch.node_keep[:, None])
     edge_feats = Tensor(batch.edge_features)
     for t in range(cfg.n_conv):
         feats = cgcnn_conv(feats, edge_feats, batch.src, batch.dst,

@@ -311,7 +311,7 @@ def _init_params(cfg: TrainConfig, dataset: GraphDataset) -> dict[str, Tensor]:
 
 def _metadata(cfg: TrainConfig, dataset: GraphDataset, epoch: int, next_epoch: int,
               label_name: str = "surrogate_label", **extra) -> dict:
-    table_width = dataset.feature_table.width if dataset.feature_table else None
+    table = dataset.feature_table
     return {
         "phase": cfg.phase,
         "epoch": epoch,
@@ -321,7 +321,8 @@ def _metadata(cfg: TrainConfig, dataset: GraphDataset, epoch: int, next_epoch: i
         "rng_cursor": {"seed": cfg.seed, "next_epoch": next_epoch},
         "graph_config": asdict(cfg.graph),
         "edge_feature_width": cfg.graph.n_centers,
-        "external_feature_width": table_width,
+        "external_feature_width": table.width if table else None,
+        "feature_table_sha256": table.sha256 if table else None,
         **extra,
     }
 
@@ -482,7 +483,7 @@ def _score(params, dataset: GraphDataset, indices, cfg: TrainConfig,
     targets = _targets(dataset, indices)
     preds = _predictions(params, dataset, indices, cfg)
     if cfg.task == "binary-classification":
-        return float(((ad._sigmoid(preds) > 0.5) == (targets > 0.5)).mean())
+        return float(((preds > 0) == (targets > 0.5)).mean())
     return mean_absolute_error(preds * t_std + t_mean, targets)
 
 

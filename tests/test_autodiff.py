@@ -73,6 +73,11 @@ def test_unreached_leaf_gets_zeros():
 def test_shape_mismatch():
     with pytest.raises(ShapeMismatch):
         ad.add(Tensor([1.0, 2.0]), Tensor([1.0, 2.0, 3.0]))
+    # broadcasting needs equal ranks: (3,) never meets (4, 3)
+    for op in (ad.add, ad.sub, ad.mul, ad.div):
+        for other in ((3,), (3, 4)):
+            with pytest.raises(ShapeMismatch):
+                op(Tensor(np.ones((4, 3))), Tensor(np.ones(other)))
     with pytest.raises(ShapeMismatch):
         ad.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
 
@@ -164,6 +169,25 @@ def test_primitive_adjoints(name):
         params = [Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)]
         err = grad_check(lambda p: _scalarize(op(p)), params, h=1e-5, seed=seed)
         assert err < 1e-6, f"{name} seed {seed}: {err}"
+
+
+BROADCAST_PAIRS = [((4, 3), (1, 3)), ((4, 3), (4, 1)), ((1, 3), (4, 1)), ((), (4, 3)),
+                   ((1, 1), (4, 3))]
+
+
+@pytest.mark.parametrize("op", [ad.add, ad.sub, ad.mul, ad.div],
+                         ids=["add", "sub", "mul", "div"])
+@pytest.mark.parametrize("shapes", BROADCAST_PAIRS,
+                         ids=["4x3&1x3", "4x3&4x1", "1x3&4x1", "scalar&4x3", "1x1&4x3"])
+def test_broadcast_adjoints(op, shapes):
+    gen = np.random.default_rng(7)
+    for first, second in (shapes, shapes[::-1]):
+        a = Tensor(gen.uniform(-2.0, 2.0, size=first), requires_grad=True)
+        b = Tensor(gen.uniform(0.5, 2.0, size=second), requires_grad=True)
+        out = op(a, b)
+        assert out.shape == np.broadcast_shapes(first, second)
+        err = grad_check(lambda p: _scalarize(op(p[0], p[1])), [a, b], h=1e-5)
+        assert err < 1e-6, f"{first} & {second}: {err}"
 
 
 def test_grad_check_quadratic():

@@ -1,14 +1,16 @@
+import json
 import math
+import struct
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from crystalpretrain.augment import AugmentConfig
-from crystalpretrain.checkpoint import load_checkpoint, save_checkpoint
+from crystalpretrain.checkpoint import MAGIC, VERSION, load_checkpoint, save_checkpoint
 from crystalpretrain.cli import (KEY_SPECS, ConfigError, RunConfig, main,
                                  read_config_file)
-from crystalpretrain.datasets import SyntheticConfig, load_manifest
+from crystalpretrain.datasets import MANIFEST_COLUMNS, SyntheticConfig, load_manifest
 from crystalpretrain.elements import MAX_Z
 from crystalpretrain.graphs import GraphConfig
 from crystalpretrain.losses import LossConfig
@@ -32,6 +34,14 @@ def run(args):
 def read_test_mae(out):
     rows = (out / "metrics.csv").read_text().splitlines()
     return float(dict(r.split(",") for r in rows[1:])["test_mae"])
+
+
+def write_feature_table(path, seed):
+    """Three random features for every element."""
+    gen = np.random.default_rng(seed)
+    rows = [f"{z}," + ",".join(repr(float(v)) for v in gen.normal(size=3))
+            for z in range(1, MAX_Z + 1)]
+    path.write_text("z,f0,f1,f2\n" + "\n".join(rows) + "\n")
 
 
 @pytest.fixture(scope="module")
@@ -118,6 +128,50 @@ def test_invalid_value_exits_2(synth_dir):
 
 def test_missing_manifest_exits_3(tmp_path):
     assert run(["--out", tmp_path, "pretrain", tmp_path / "nope.csv"]) == 3
+
+
+def _checkpoint_header(drop=None) -> bytes:
+    header = {"version": VERSION, "model_config": {}, "metadata": {}, "tensors": [],
+              "optimizer_state": None, "payload_bytes": 0}
+    header.pop(drop, None)
+    return json.dumps(header).encode("utf-8")
+
+
+# case -> (input kind, file content)
+BAD_INPUTS = {
+    "manifest-short-row": ("manifest", "syn-x,{cif},0\n"),
+    "manifest-label-not-int": ("manifest", "syn-x,{cif},one,1.5,\n"),
+    "manifest-target-not-number": ("manifest", "syn-x,{cif},0,n/a,\n"),
+    "checkpoint-header-not-utf8": ("checkpoint", b"\xff\xfe{}"),
+    "checkpoint-header-not-json": ("checkpoint", b"{tensors"),
+    "checkpoint-no-tensors": ("checkpoint", _checkpoint_header("tensors")),
+    "checkpoint-no-payload-bytes": ("checkpoint", _checkpoint_header("payload_bytes")),
+    "checkpoint-no-model-config": ("checkpoint", _checkpoint_header("model_config")),
+    "table-z-not-int": ("table", "z,f0\nFe,1.0\n"),
+    "table-feature-not-number": ("table", "z,f0\n26,heavy\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exits_3(case, synth_dir, tmp_path, capsys):
+    kind, content = BAD_INPUTS[case]
+    manifest = synth_dir / "manifest.csv"
+    bad = tmp_path / f"bad.{kind}"
+    if kind == "manifest":
+        cif = load_manifest(manifest).records[0].cif_path
+        bad.write_text(",".join(MANIFEST_COLUMNS) + "\n" + content.format(cif=cif))
+        args = ["stats", bad]
+    elif kind == "checkpoint":
+        bad.write_bytes(MAGIC + struct.pack("<IQ", VERSION, len(content)) + content)
+        args = ["evaluate", manifest, "--checkpoint", bad]
+    else:
+        bad.write_text(content)
+        args = ["--set", f"graph.feature_table={bad}", "pretrain", manifest]
+    assert run(["--out", tmp_path / "out", *args]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error")
+    if kind != "checkpoint":
+        assert f"{bad}:2:" in err  # names the line
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
@@ -356,10 +410,7 @@ def test_pretrain_refuses_a_one_crystal_eval_split(synth_dir, tmp_path):
 
 def test_external_feature_table_end_to_end(trained, synth_dir, tmp_path):
     table = tmp_path / "table.csv"
-    gen = np.random.default_rng(0)
-    rows = [f"{z}," + ",".join(repr(float(v)) for v in gen.normal(size=3))
-            for z in range(1, MAX_Z + 1)]
-    table.write_text("z,f0,f1,f2\n" + "\n".join(rows) + "\n")
+    write_feature_table(table, seed=0)
     manifest = synth_dir / "manifest.csv"
     cfg = ["--seed", "1", *FAST_TRAIN, "--set", f"graph.feature_table={table}"]
 
@@ -394,3 +445,27 @@ def test_external_feature_table_end_to_end(trained, synth_dir, tmp_path):
         assert run(["--out", out, "evaluate", manifest,
                     "--checkpoint", tmp_path / f"{name}.ckpt"]) == 0
         assert math.isclose(read_test_mae(out), expected, rel_tol=1e-5)
+
+
+def test_rewritten_feature_table_is_refused(synth_dir, tmp_path):
+    table = tmp_path / "table.csv"
+    write_feature_table(table, seed=0)
+    manifest = synth_dir / "manifest.csv"
+    cfg = ["--seed", "1", *FAST_TRAIN, "--set", f"graph.feature_table={table}"]
+    assert run(["--out", tmp_path / "ft", *cfg, "finetune", manifest,
+                "--no-pretrain"]) == 0
+    ckpt = tmp_path / "ft" / "best.ckpt"
+    assert run(["--out", tmp_path / "eval", *cfg, "evaluate", manifest,
+                "--checkpoint", ckpt]) == 0
+
+    write_feature_table(table, seed=1)  # same elements and width, other values
+    for command in ("evaluate", "embed", "finetune"):
+        assert run(["--out", tmp_path / command, *cfg, command, manifest,
+                    "--checkpoint", ckpt]) == 3
+
+    # a checkpoint written before the digest was stored loads as before
+    old = load_checkpoint(ckpt)
+    del old.metadata["feature_table_sha256"]
+    save_checkpoint(tmp_path / "old.ckpt", old)
+    assert run(["--out", tmp_path / "eval-old", *cfg, "evaluate", manifest,
+                "--checkpoint", tmp_path / "old.ckpt"]) == 0

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from crystalpretrain import graphs
 from crystalpretrain.graphs import (FeatureTable, GraphConfig,
                                     GraphError, IsolatedAtom, MissingTableEntry,
                                     build_graph, frac_to_cart, gaussian_expand,
@@ -98,6 +99,21 @@ def test_neighbor_oracle_equivalence(cubic_fe, body_centered):
         assert [(g[0], g[1], g[2]) for g in got] == [(e[0], e[1], e[2])
                                                      for e in expected]
         assert [g[3] for g in got] == [e[3] for e in expected]
+
+
+@pytest.mark.parametrize("budget", [1, 1000])
+def test_neighbor_blocks_match_oracle(monkeypatch, budget):
+    # a tiny candidate budget splits each cell's anchors over several blocks
+    cfg = GraphConfig(radius=4.0, max_neighbors=12)
+    cells = [random_structure(seed) for seed in range(20, 30)]
+    whole = [neighbor_list(s, cfg) for s in cells]
+    monkeypatch.setattr(graphs, "_CANDIDATE_BUDGET", budget)
+    assert max(s.n_sites for s in cells) > 1
+    for s, unblocked in zip(cells, whole):
+        expected = brute_force_neighbors(s, cfg.radius, cfg.max_neighbors)
+        assert graph_edges(s, cfg) == [tuple(e) for e in expected]
+        for got, ref in zip(neighbor_list(s, cfg), unblocked):
+            assert np.array_equal(got, ref)
 
 
 def test_max_neighbors_cap():

@@ -104,8 +104,7 @@ def test_project_and_head_zero_weights():
     assert pred.shape == (4, 1)
     assert np.allclose(pred.values, 0.0)
     # logit 0 means probability one half
-    from crystalpretrain.autodiff import _sigmoid
-    assert _sigmoid(pred.values).tolist() == [[0.5]] * 4
+    assert ad.sigmoid(pred).values.tolist() == [[0.5]] * 4
 
 
 def test_project_identity_weights_reproduce_affine_map():
