@@ -4,7 +4,9 @@ The three augmentations run sequentially (atom, edge, noise); a zero
 fraction or gndn_delta turns one off. Masking zeroes
 feature contributions without touching topology; distance noising perturbs
 edge lengths only, never the underlying coordinates, and recomputes the
-Gaussian edge features from the noised distances.
+Gaussian edge features from the noised distances. Each step returns a changed
+copy, or with inplace=True changes and returns the graph it is given; a view
+copies its graph once.
 """
 
 from __future__ import annotations
@@ -38,9 +40,10 @@ def mask_count(fraction: float, n: int) -> int:
     return max(1, int(math.floor(fraction * n + 0.5)))
 
 
-def atom_mask(graph: CrystalGraph, fraction: float, rng: RngStream) -> CrystalGraph:
+def atom_mask(graph: CrystalGraph, fraction: float, rng: RngStream,
+              inplace: bool = False) -> CrystalGraph:
     """Flag a random subset of nodes; their features are zeroed at encoder input."""
-    out = graph.copy()
+    out = graph if inplace else graph.copy()
     k = mask_count(fraction, graph.n_nodes)
     if k:
         chosen = rng.generator().choice(graph.n_nodes, size=k, replace=False)
@@ -48,9 +51,10 @@ def atom_mask(graph: CrystalGraph, fraction: float, rng: RngStream) -> CrystalGr
     return out
 
 
-def edge_mask(graph: CrystalGraph, fraction: float, rng: RngStream) -> CrystalGraph:
+def edge_mask(graph: CrystalGraph, fraction: float, rng: RngStream,
+              inplace: bool = False) -> CrystalGraph:
     """Zero the feature rows of a random subset of edges; topology unchanged."""
-    out = graph.copy()
+    out = graph if inplace else graph.copy()
     k = mask_count(fraction, graph.n_edges)
     if k:
         chosen = rng.generator().choice(graph.n_edges, size=k, replace=False)
@@ -60,15 +64,15 @@ def edge_mask(graph: CrystalGraph, fraction: float, rng: RngStream) -> CrystalGr
 
 
 def gndn(graph: CrystalGraph, delta: float, rng: RngStream,
-         graph_cfg: GraphConfig) -> CrystalGraph:
+         graph_cfg: GraphConfig, inplace: bool = False) -> CrystalGraph:
     """Add independent uniform noise in [-delta, delta] to each edge distance.
 
     Edge features are recomputed from the noised distances; feature-masked
     edges stay zero. Coordinates and topology are untouched.
     """
-    out = graph.copy()
+    out = graph if inplace else graph.copy()
     eps = rng.generator().uniform(-delta, delta, size=graph.n_edges)
-    out.distances = graph.distances + eps
+    out.distances = out.distances + eps
     out.edge_features = gaussian_expand(out.distances, graph_cfg)
     out.edge_features[out.edge_masked] = 0.0
     return out
@@ -76,10 +80,11 @@ def gndn(graph: CrystalGraph, delta: float, rng: RngStream,
 
 def apply_augmentations(graph: CrystalGraph, cfg: AugmentConfig,
                         stream: RngStream, graph_cfg: GraphConfig) -> CrystalGraph:
-    """One augmented view: atom mask, then edge mask, then distance noise."""
+    """One augmented view: atom mask, then edge mask, then distance noise,
+    applied in place to a single copy of the graph."""
     out = atom_mask(graph, cfg.atom_mask_fraction, stream.child("atom-mask"))
-    out = edge_mask(out, cfg.edge_mask_fraction, stream.child("edge-mask"))
-    return gndn(out, cfg.gndn_delta, stream.child("gndn"), graph_cfg)
+    edge_mask(out, cfg.edge_mask_fraction, stream.child("edge-mask"), inplace=True)
+    return gndn(out, cfg.gndn_delta, stream.child("gndn"), graph_cfg, inplace=True)
 
 
 def make_views(graph: CrystalGraph, cfg: AugmentConfig,

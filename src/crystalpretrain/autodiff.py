@@ -2,8 +2,9 @@
 
 Covers exactly the operator set the encoder and losses need: matmul,
 elementwise arithmetic with same-rank broadcasting, concat, gathers, segment
-reductions, pointwise nonlinearities, axis reductions, row normalization and
-per-feature batch standardization. Every op checks its output for NaN/Inf.
+reductions, the fused gated graph convolution, pointwise nonlinearities, axis
+reductions, row normalization and per-feature batch standardization. Every op
+checks its output for NaN/Inf.
 
 Usage:
 
@@ -232,18 +233,40 @@ def concat(tensors) -> Tensor:
                  tuple(tensors), lambda g: tuple(np.split(g, splits, axis=1)))
 
 
+def _runs(ids: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Rows grouped by id for summing: the ids, taken in a stable sort, fall
+    into runs of equal ids; runs of equal length L form one group, given as
+    (the id of each run, a (runs, L) array of row indices in row order)."""
+    order = None if (ids[1:] >= ids[:-1]).all() else np.argsort(ids, kind="stable")
+    ids = ids if order is None else ids[order]
+    starts = np.flatnonzero(np.diff(ids, prepend=-1))
+    lengths = np.diff(starts, append=len(ids))
+    groups = []
+    for length in np.unique(lengths):
+        first = starts[lengths == length]
+        rows = first[:, None] + np.arange(length)
+        groups.append((ids[first], rows if order is None else order[rows]))
+    return groups
+
+
+def _sum_runs(x: np.ndarray, groups, num_segments: int) -> np.ndarray:
+    """Rows of x summed per id, in row order within each id as np.add.at
+    adds them; zero where absent. One gather and sum per run length:
+    np.add.at and np.add.reduceat pay per row or per run, several times
+    slower on edge-sized arrays."""
+    out = np.zeros((num_segments, x.shape[1]))
+    for heads, rows in groups:
+        out[heads] = x[rows].sum(axis=1)
+    return out
+
+
 def gather_rows(a, index) -> Tensor:
     a = _as_tensor(a)
     if a.values.ndim != 2:
         raise ShapeMismatch("gather_rows", a.shape)
     index = np.asarray(index, dtype=np.int64)
-
-    def backward_fn(g):
-        da = np.zeros_like(a.values)
-        np.add.at(da, index, g)
-        return (da,)
-
-    return _make("gather_rows", a.values[index], (a,), backward_fn)
+    return _make("gather_rows", a.values[index], (a,),
+                 lambda g: (_sum_runs(g, _runs(index), a.shape[0]),))
 
 
 def segment_sum(a, segment_ids, num_segments: int) -> Tensor:
@@ -251,9 +274,52 @@ def segment_sum(a, segment_ids, num_segments: int) -> Tensor:
     segment_ids = np.asarray(segment_ids, dtype=np.int64)
     if a.values.ndim != 2 or len(segment_ids) != a.shape[0]:
         raise ShapeMismatch("segment_sum", a.shape, segment_ids.shape)
-    out = np.zeros((num_segments, a.shape[1]))
-    np.add.at(out, segment_ids, a.values)
-    return _make("segment_sum", out, (a,), lambda g: (g[segment_ids],))
+    return _make("segment_sum", _sum_runs(a.values, _runs(segment_ids), num_segments),
+                 (a,), lambda g: (g[segment_ids],))
+
+
+def gated_conv(v, e, src, dst, gate_weight, gate_bias, self_weight, self_bias) -> Tensor:
+    """CGCNN gated residual convolution as one op:
+    v + sum over edges i->j of sigmoid(z W_g + b_g) * softplus(z W_s + b_s),
+    z = [v_i, v_j, e_ij], added onto each anchor i = src.
+
+    Gate and filter share one (2h + k, 2h) matrix W, cut into row blocks
+    W_a, W_b, W_e, so the edge pre-activation is (v W_a)[src] + (v W_b)[dst]
+    + e W_e + b: node-sized matmuls plus one over the edge features.
+    """
+    v, e, *weights = map(_as_tensor, (v, e, gate_weight, gate_bias, self_weight, self_bias))
+    src, dst = np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)
+    shapes = [t.shape for t in (v, e, *weights)]
+    if len(shapes[0]) != 2 or len(shapes[1]) != 2:
+        raise ShapeMismatch("gated_conv", *shapes)
+    (n, h), (m, k) = shapes[:2]
+    if src.shape != (m,) or dst.shape != (m,) or shapes[2:] != [(2 * h + k, h), (1, h)] * 2:
+        raise ShapeMismatch("gated_conv", *shapes, src.shape, dst.shape)
+    w = np.concatenate([weights[0].values, weights[2].values], axis=1)
+    b = np.concatenate([weights[1].values, weights[3].values], axis=1)
+    w_a, w_b, w_e = w[:h], w[h:2 * h], w[2 * h:]
+    pre = e.values @ w_e + b
+    pre += (v.values @ w_a)[src]
+    pre += (v.values @ w_b)[dst]
+    gate = _sigmoid(pre[:, :h])
+    msg = gate * _softplus(pre[:, h:])
+    by_src = _runs(src)
+
+    def backward_fn(g):
+        g_msg = g[src]
+        g_pre = np.empty_like(pre)
+        g_pre[:, :h] = g_msg * msg * (1.0 - gate)
+        g_pre[:, h:] = g_msg * gate * _sigmoid(pre[:, h:])
+        g_src = _sum_runs(g_pre, by_src, n)
+        g_dst = _sum_runs(g_pre, _runs(dst), n)
+        g_w = np.concatenate([v.values.T @ g_src, v.values.T @ g_dst, e.values.T @ g_pre])
+        g_b = g_pre.sum(axis=0, keepdims=True)
+        return (g + g_src @ w_a.T + g_dst @ w_b.T,
+                g_pre @ w_e.T if e.requires_grad else None,
+                g_w[:, :h], g_b[:, :h], g_w[:, h:], g_b[:, h:])
+
+    return _make("gated_conv", v.values + _sum_runs(msg, by_src, n),
+                 (v, e, *weights), backward_fn)
 
 
 def segment_mean(a, segment_ids, num_segments: int) -> Tensor:
@@ -297,11 +363,13 @@ def sigmoid(a) -> Tensor:
     return _make("sigmoid", out, (a,), lambda g: (g * out * (1.0 - out),))
 
 
+def _softplus(x: np.ndarray) -> np.ndarray:
+    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+
+
 def softplus(a) -> Tensor:
     a = _as_tensor(a)
-    x = a.values
-    out = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
-    return _make("softplus", out, (a,), lambda g: (g * _sigmoid(x),))
+    return _make("softplus", _softplus(a.values), (a,), lambda g: (g * _sigmoid(a.values),))
 
 
 def relu(a) -> Tensor:

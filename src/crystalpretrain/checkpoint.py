@@ -143,8 +143,12 @@ def load_checkpoint(path) -> Checkpoint:
     opt = None
     if header.get("optimizer_state") is not None:
         opt = _read_table(header["optimizer_state"], payload)
+    try:
+        model_config = ModelConfig(**header["model_config"])
+    except (TypeError, ValueError) as exc:  # an unknown key, or a value out of range
+        raise CheckpointError(f"checkpoint model_config is invalid: {exc}") from None
     return Checkpoint(
-        model_config=ModelConfig(**header["model_config"]),
+        model_config=model_config,
         tensors=tensors,
         metadata=header.get("metadata", {}),
         optimizer_state=opt,

@@ -12,6 +12,7 @@ contiguous range 0..K-1.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,7 +21,8 @@ import numpy as np
 
 from .elements import z_to_symbol
 from .rng import RngStream
-from .structures import CrystalStructure, parse_cif, write_cif
+from .structures import (CrystalStructure, StructureError, decode_utf8, parse_cif,
+                         write_cif)
 
 MANIFEST_COLUMNS = ("id", "cif_path", "surrogate_label", "target", "split")
 SPLIT_NAMES = ("train", "val", "test")
@@ -96,36 +98,36 @@ def load_manifest(path) -> DatasetManifest:
     """Read a manifest CSV; relative cif paths resolve against its directory."""
     path = Path(path)
     base = path.parent
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    reader = csv.reader(io.StringIO(decode_utf8(path.read_bytes(), path, ManifestError),
+                                    newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise MissingColumn(MANIFEST_COLUMNS[0]) from None
+    for col in MANIFEST_COLUMNS:
+        if col not in header:
+            raise MissingColumn(col)
+    extra = [col for col in header if col not in MANIFEST_COLUMNS]
+    if extra:
+        raise ManifestError(f"unexpected manifest columns: {extra}")
+    idx = {col: header.index(col) for col in MANIFEST_COLUMNS}
+    records = []
+    for row in reader:
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        where = f"{path}:{reader.line_num}"
+        if len(row) < len(header):
+            raise ManifestError(f"{where}: {len(row)} cells for {len(header)} columns")
+        cell = {col: row[k].strip() for col, k in idx.items()}
         try:
-            header = next(reader)
-        except StopIteration:
-            raise MissingColumn(MANIFEST_COLUMNS[0]) from None
-        for col in MANIFEST_COLUMNS:
-            if col not in header:
-                raise MissingColumn(col)
-        extra = [col for col in header if col not in MANIFEST_COLUMNS]
-        if extra:
-            raise ManifestError(f"unexpected manifest columns: {extra}")
-        idx = {col: header.index(col) for col in MANIFEST_COLUMNS}
-        records = []
-        for row in reader:
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            where = f"{path}:{reader.line_num}"
-            if len(row) < len(header):
-                raise ManifestError(f"{where}: {len(row)} cells for {len(header)} columns")
-            cell = {col: row[k].strip() for col, k in idx.items()}
-            try:
-                label = int(cell["surrogate_label"]) if cell["surrogate_label"] else None
-                target = float(cell["target"]) if cell["target"] else None
-            except ValueError as exc:
-                raise ManifestError(f"{where}: {exc}") from None
-            cif = Path(cell["cif_path"])
-            records.append(ManifestRecord(
-                id=cell["id"], cif_path=str(cif if cif.is_absolute() else base / cif),
-                surrogate_label=label, target=target, split=cell["split"] or None))
+            label = int(cell["surrogate_label"]) if cell["surrogate_label"] else None
+            target = float(cell["target"]) if cell["target"] else None
+        except ValueError as exc:
+            raise ManifestError(f"{where}: {exc}") from None
+        cif = Path(cell["cif_path"])
+        records.append(ManifestRecord(
+            id=cell["id"], cif_path=str(cif if cif.is_absolute() else base / cif),
+            surrogate_label=label, target=target, split=cell["split"] or None))
     return DatasetManifest(records)
 
 
@@ -147,8 +149,8 @@ def load_structures(manifest: DatasetManifest) -> dict[str, CrystalStructure]:
     """Parse every structure referenced by the manifest, keyed by record id."""
     out = {}
     for rec in manifest.records:
-        with open(rec.cif_path, encoding="utf-8") as fh:
-            structure = parse_cif(fh.read())
+        path = Path(rec.cif_path)
+        structure = parse_cif(decode_utf8(path.read_bytes(), path, StructureError))
         structure.id = rec.id
         out[rec.id] = structure
     return out

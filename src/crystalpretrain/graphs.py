@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .structures import CrystalStructure
+from .structures import CrystalStructure, decode_utf8
 
 
 class GraphError(Exception):
@@ -197,7 +197,7 @@ class FeatureTable:
 def load_feature_table(path) -> FeatureTable:
     """Read an external node-feature table: CSV header z,f0,f1,... ."""
     data = Path(path).read_bytes()
-    reader = csv.reader(io.StringIO(data.decode("utf-8"), newline=""))
+    reader = csv.reader(io.StringIO(decode_utf8(data, path, GraphError), newline=""))
     header = next(reader, None)
     if not header or header[0].strip() != "z":
         raise GraphError("feature table must start with header z,f0,f1,...")

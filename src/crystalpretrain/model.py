@@ -1,10 +1,13 @@
 """Gated graph-convolution encoder over crystal graphs, with projection and
 task heads.
 
-Each convolution concatenates anchor, neighbor and edge features, splits the
-result through a sigmoid gate and a softplus filter, and adds the aggregated
-messages back onto the anchor (residual update). Mean pooling over each
-crystal's nodes yields the crystal vector.
+Each convolution is the CGCNN gate (Xie & Grossman, PRL 2018): for every edge
+i -> j, z = [v_i, v_j, e_ij] passes through a sigmoid gate and a softplus
+filter, and the gated messages are summed onto the anchor i and added to v_i
+(residual update). The layer runs as one autodiff op, autodiff.gated_conv,
+which applies the weights to the node rows before gathering them onto the
+edges; the parameters keep their per-gate names and shapes. Mean pooling over
+each crystal's nodes yields the crystal vector.
 """
 
 from __future__ import annotations
@@ -18,9 +21,6 @@ from .autodiff import Tensor
 from .elements import MAX_Z
 from .graphs import CrystalGraph
 from .rng import RngStream
-
-TASKS = ("regression", "binary-classification")
-
 
 @dataclass
 class ModelConfig:
@@ -100,15 +100,9 @@ def _affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 def cgcnn_conv(node_feats: Tensor, edge_feats: Tensor, src: np.ndarray,
                dst: np.ndarray, gate_weight: Tensor, gate_bias: Tensor,
                self_weight: Tensor, self_bias: Tensor) -> Tensor:
-    """One gated residual convolution layer."""
-    vi = ad.gather_rows(node_feats, src)
-    vj = ad.gather_rows(node_feats, dst)
-    z = ad.concat([vi, vj, edge_feats])
-    gate = ad.sigmoid(_affine(z, gate_weight, gate_bias))
-    filt = ad.softplus(_affine(z, self_weight, self_bias))
-    messages = ad.mul(gate, filt)
-    agg = ad.segment_sum(messages, src, node_feats.shape[0])
-    return ad.add(node_feats, agg)
+    """One gated residual convolution layer (see autodiff.gated_conv)."""
+    return ad.gated_conv(node_feats, edge_feats, src, dst, gate_weight, gate_bias,
+                         self_weight, self_bias)
 
 
 def pool(node_feats: Tensor, crystal_ids: np.ndarray, n_crystals: int) -> Tensor:
@@ -121,11 +115,8 @@ def project(params: dict[str, Tensor], crystal_vecs: Tensor) -> Tensor:
     return _affine(hidden, params["projection.w2"], params["projection.b2"])
 
 
-def head_forward(params: dict[str, Tensor], crystal_vecs: Tensor,
-                 task: str = "regression") -> Tensor:
+def head_forward(params: dict[str, Tensor], crystal_vecs: Tensor) -> Tensor:
     """Per-crystal scalar: regression value, or classification logit."""
-    if task not in TASKS:
-        raise ValueError(f"unknown task {task!r}")
     hidden = ad.relu(_affine(crystal_vecs, params["head.w1"], params["head.b1"]))
     return _affine(hidden, params["head.w2"], params["head.b2"])
 

@@ -44,6 +44,16 @@ class MalformedNumber(StructureError):
         super().__init__(f"malformed number {token!r} on line {line_number}")
 
 
+def decode_utf8(data: bytes, path, error: type[Exception]) -> str:
+    """The text of a file read as bytes; a byte that is not UTF-8 raises
+    error naming the path and its line."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise error(f"{path}:{line}: byte {data[exc.start]:#04x} is not UTF-8") from None
+
+
 def wrap_frac(coords: np.ndarray) -> np.ndarray:
     """Wrap fractional coordinates into [0, 1) with floor-based modulo."""
     coords = np.asarray(coords, dtype=np.float64)

@@ -21,12 +21,13 @@ from .checkpoint import Checkpoint, checkpoint_from_params, save_checkpoint
 from .datasets import DatasetManifest, ManifestRecord, load_structures
 from .graphs import FeatureTable, GraphConfig, build_graph, load_feature_table
 from .losses import LossConfig, compute_loss
-from .model import (ModelConfig, TASKS, build_batch, embed_graphs, encode,
+from .model import (ModelConfig, build_batch, embed_graphs, encode,
                     encoder_param_names, finetune_param_names, head_forward,
                     init_params, pretrain_param_names)
 from .rng import RngStream
 
 PHASES = ("pretrain", "finetune")
+TASKS = ("regression", "binary-classification")
 
 
 class TrainError(Exception):
@@ -467,7 +468,7 @@ def _predictions(params, dataset: GraphDataset, indices, cfg: TrainConfig) -> np
         chunk = indices[start:start + cfg.batch_size]
         graphs = [dataset.graphs[int(i)] for i in chunk]
         batch = build_batch(graphs)
-        out = head_forward(params, encode(params, batch, cfg.model), cfg.task)
+        out = head_forward(params, encode(params, batch, cfg.model))
         preds.append(out.values[:, 0])
     return np.concatenate(preds)
 
@@ -533,7 +534,7 @@ def finetune(dataset: GraphDataset, ckpt: Checkpoint | None, cfg: TrainConfig,
         graphs = [dataset.graphs[int(i)] for i in indices]
         raw = np.array([target_of[int(i)] for i in indices])
         batch = build_batch(graphs)
-        out = head_forward(params, encode(params, batch, cfg.model), cfg.task)
+        out = head_forward(params, encode(params, batch, cfg.model))
         if classification:
             return ad.mean(ad.sub(ad.softplus(out), ad.mul(Tensor(raw[:, None]), out)))
         t = Tensor(((raw - t_mean) / t_std)[:, None])

@@ -5,6 +5,8 @@ neighbor search and scalar loops elsewhere, sharing no code with the
 implementations they check.
 """
 
+import math
+
 import numpy as np
 
 
@@ -68,3 +70,19 @@ def count_elements(cif_texts):
                     sym = token.split()[columns.index("_atom_site_type_symbol")]
                     counts[sym] = counts.get(sym, 0) + 1
     return counts
+
+
+def gated_conv_loop(node_feats, edge_feats, src, dst, gate_weight, gate_bias,
+                    self_weight, self_bias):
+    """Scalar-loop CGCNN convolution: for each edge i -> j, concatenate
+    [v_i, v_j, e_ij], apply the sigmoid gate and the softplus filter unit by
+    unit, and add the message onto a copy of v_i."""
+    out = [list(row) for row in node_feats]
+    for i, j, e in zip(src, dst, edge_feats):
+        z = list(node_feats[i]) + list(node_feats[j]) + list(e)
+        for c in range(len(out[i])):
+            a = gate_bias[0][c] + sum(zk * gate_weight[k][c] for k, zk in enumerate(z))
+            s = self_bias[0][c] + sum(zk * self_weight[k][c] for k, zk in enumerate(z))
+            softplus = s + math.log1p(math.exp(-s)) if s > 0 else math.log1p(math.exp(s))
+            out[i][c] += softplus / (1.0 + math.exp(-a))
+    return out

@@ -130,26 +130,38 @@ def test_missing_manifest_exits_3(tmp_path):
     assert run(["--out", tmp_path, "pretrain", tmp_path / "nope.csv"]) == 3
 
 
-def _checkpoint_header(drop=None) -> bytes:
-    header = {"version": VERSION, "model_config": {}, "metadata": {}, "tensors": [],
-              "optimizer_state": None, "payload_bytes": 0}
+def _checkpoint_header(drop=None, model_config=None) -> bytes:
+    header = {"version": VERSION, "model_config": model_config or {}, "metadata": {},
+              "tensors": [], "optimizer_state": None, "payload_bytes": 0}
     header.pop(drop, None)
     return json.dumps(header).encode("utf-8")
 
 
-# case -> (input kind, file content)
+# case -> (input kind, file content); in text content "\udcff" is written as
+# the lone byte 0xff, which is not UTF-8
 BAD_INPUTS = {
     "manifest-short-row": ("manifest", "syn-x,{cif},0\n"),
     "manifest-label-not-int": ("manifest", "syn-x,{cif},one,1.5,\n"),
     "manifest-target-not-number": ("manifest", "syn-x,{cif},0,n/a,\n"),
+    "manifest-not-utf8": ("manifest", "syn-\udcff,{cif},0,1.5,\n"),
     "checkpoint-header-not-utf8": ("checkpoint", b"\xff\xfe{}"),
     "checkpoint-header-not-json": ("checkpoint", b"{tensors"),
     "checkpoint-no-tensors": ("checkpoint", _checkpoint_header("tensors")),
     "checkpoint-no-payload-bytes": ("checkpoint", _checkpoint_header("payload_bytes")),
     "checkpoint-no-model-config": ("checkpoint", _checkpoint_header("model_config")),
+    "checkpoint-model-config-unknown-key": ("checkpoint",
+                                            _checkpoint_header(model_config={"width": 3})),
+    "checkpoint-model-config-invalid-value": (
+        "checkpoint", _checkpoint_header(model_config={"hidden_dim": 0})),
     "table-z-not-int": ("table", "z,f0\nFe,1.0\n"),
     "table-feature-not-number": ("table", "z,f0\n26,heavy\n"),
+    "table-not-utf8": ("table", "z,f0\n26,1.0\udcff\n"),
+    "cif-not-utf8": ("cif", "data_x\n_cell_length_a 4.0\udcff\n"),
 }
+
+
+def _write_text(path, text):
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
@@ -157,15 +169,21 @@ def test_bad_input_exits_3(case, synth_dir, tmp_path, capsys):
     kind, content = BAD_INPUTS[case]
     manifest = synth_dir / "manifest.csv"
     bad = tmp_path / f"bad.{kind}"
+    header = ",".join(MANIFEST_COLUMNS) + "\n"
     if kind == "manifest":
         cif = load_manifest(manifest).records[0].cif_path
-        bad.write_text(",".join(MANIFEST_COLUMNS) + "\n" + content.format(cif=cif))
+        _write_text(bad, header + content.format(cif=cif))
         args = ["stats", bad]
     elif kind == "checkpoint":
         bad.write_bytes(MAGIC + struct.pack("<IQ", VERSION, len(content)) + content)
         args = ["evaluate", manifest, "--checkpoint", bad]
+    elif kind == "cif":
+        _write_text(bad, content)
+        one = tmp_path / "one.csv"
+        one.write_text(header + f"syn-x,{bad},0,1.5,\n")
+        args = ["stats", one]
     else:
-        bad.write_text(content)
+        _write_text(bad, content)
         args = ["--set", f"graph.feature_table={bad}", "pretrain", manifest]
     assert run(["--out", tmp_path / "out", *args]) == 3
     err = capsys.readouterr().err

@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 
 from crystalpretrain import autodiff as ad
-from crystalpretrain.augment import AugmentConfig, make_views
+from crystalpretrain.augment import AugmentConfig, apply_augmentations, make_views
 from crystalpretrain.autodiff import EmptySegment, Tensor, grad_check
 from crystalpretrain.graphs import GraphConfig, build_graph
+from crystalpretrain.losses import LossConfig, compute_loss
 from crystalpretrain.model import (ModelConfig, build_batch, cgcnn_conv, encode,
                                    embed_graphs, head_forward, init_params,
                                    param_spec, pool, project)
 from crystalpretrain.rng import RngStream
 from conftest import random_structure
-from oracles import pooled_means
+from oracles import gated_conv_loop, pooled_means
 
 CFG = ModelConfig(hidden_dim=8, n_conv=2, embed_dim=6, head_hidden=5)
 GCFG = GraphConfig(radius=5.0, max_neighbors=12)
@@ -100,7 +101,7 @@ def test_project_and_head_zero_weights():
     out = project(params, x)
     assert np.allclose(out.values, 0.25)
 
-    pred = head_forward(params, x, "regression")
+    pred = head_forward(params, x)
     assert pred.shape == (4, 1)
     assert np.allclose(pred.values, 0.0)
     # logit 0 means probability one half
@@ -128,18 +129,12 @@ def test_head_gradient_check():
 
     def f(p):
         named = dict(params, **dict(zip(names, p)))
-        out = head_forward(named, x, "regression")
+        out = head_forward(named, x)
         mix = Tensor(np.random.default_rng(8).normal(size=out.shape))
         return ad.sum_(ad.mul(out, mix))
 
     err = grad_check(f, [params[n] for n in names], h=1e-5, seed=2)
     assert err < 1e-4
-
-
-def test_head_rejects_unknown_task():
-    params = init_params(CFG, seed=0)
-    with pytest.raises(ValueError):
-        head_forward(params, Tensor(np.zeros((1, CFG.hidden_dim))), "ranking")
 
 
 def test_node_permutation_invariance():
@@ -210,6 +205,70 @@ def test_conv_gradient_check():
              "conv0.self_weight", "conv0.self_bias"]
     err = grad_check(f, [params[n] for n in order], h=1e-5, seed=0)
     assert err < 1e-4
+
+
+def conv_case(seed, drop_anchor=False, shuffle=False):
+    """Inputs of one convolution over three augmented graphs (masked atoms
+    and masked edges): node rows, edge rows, src, dst and the four weights.
+    drop_anchor removes every edge leaving one node; shuffle permutes the
+    edges, so src is unsorted too (dst never is)."""
+    gen = np.random.default_rng(seed)
+    strong = AugmentConfig(atom_mask_fraction=0.3, edge_mask_fraction=0.3, gndn_delta=0.3)
+    views = [apply_augmentations(g, strong, RngStream(seed, k), GCHECK)
+             for k, g in enumerate(toy_graphs(3, seed=seed, cfg=GCHECK))]
+    batch = build_batch(views)
+    n, h, k = len(batch.node_z), 4, GCHECK.n_centers
+    feats = gen.normal(size=(n, h)) * batch.node_keep[:, None]
+    edges = np.arange(len(batch.src))
+    if drop_anchor:
+        edges = edges[batch.src != batch.src[len(edges) // 2]]
+    if shuffle:
+        edges = gen.permutation(edges)
+    weights = [gen.uniform(-0.5, 0.5, size=shape)
+               for shape in [(2 * h + k, h), (1, h)] * 2]
+    return feats, batch.edge_features[edges], batch.src[edges], batch.dst[edges], weights
+
+
+@pytest.mark.parametrize("drop_anchor,shuffle", [(False, False), (True, False),
+                                                 (False, True), (True, True)])
+def test_gated_conv_matches_scalar_oracle(drop_anchor, shuffle):
+    feats, edge_feats, src, dst, weights = conv_case(21, drop_anchor, shuffle)
+    assert (feats == 0.0).all(axis=1).any()  # a masked atom
+    assert (edge_feats == 0.0).all(axis=1).any()  # a masked edge
+    assert (np.diff(dst) < 0).any()
+    assert (np.diff(src) < 0).any() == shuffle
+    lonely = np.bincount(src, minlength=len(feats)) == 0
+    assert lonely.any() == drop_anchor
+    out = ad.gated_conv(Tensor(feats), Tensor(edge_feats), src, dst, *map(Tensor, weights))
+    expected = np.array(gated_conv_loop(feats.tolist(), edge_feats.tolist(), src, dst,
+                                        *[w.tolist() for w in weights]))
+    assert np.abs(out.values - expected).max() <= 1e-10 * np.abs(expected).max()
+    assert np.array_equal(out.values[lonely], feats[lonely])
+
+
+def test_gated_conv_gradient_check_every_input():
+    feats, edge_feats, src, dst, weights = conv_case(22, drop_anchor=True, shuffle=True)
+    inputs = [Tensor(x, requires_grad=True) for x in (feats, edge_feats, *weights)]
+    mix = Tensor(np.random.default_rng(23).normal(size=feats.shape))
+
+    def f(p):
+        return ad.sum_(ad.mul(ad.gated_conv(p[0], p[1], src, dst, *p[2:]), mix))
+
+    assert grad_check(f, inputs, h=1e-5, seed=3) < 1e-6
+
+
+def test_sup_bt_step_tape_records():
+    # one record per convolution layer; the count does not depend on the batch
+    cfg = ModelConfig()
+    params = init_params(cfg, seed=0, edge_feature_width=GCFG.n_centers)
+    for seed in (0, 20):
+        graphs = toy_graphs(6, seed=seed)
+        views = [v for k, g in enumerate(graphs) for v in make_views(
+            g, AugmentConfig(), (RngStream(seed, k, 0), RngStream(seed, k, 1)), GCFG)]
+        with ad.Tape() as tape:
+            z = project(params, encode(params, build_batch(views), cfg))
+            compute_loss(LossConfig(kind="sup-bt"), z, np.arange(6) % 2)
+        assert len(tape.records) == 29
 
 
 def test_full_forward_gradient_check():

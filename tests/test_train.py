@@ -366,3 +366,8 @@ def test_train_config_defaults_by_phase():
         TrainConfig(batch_size=1).resolved("pretrain")
     with pytest.raises(ValueError):
         TrainConfig(val_fraction=0.5, test_fraction=0.6).resolved("finetune")
+
+
+def test_train_config_rejects_unknown_task():
+    with pytest.raises(ValueError, match="unknown task 'ranking'"):
+        TrainConfig(task="ranking").resolved("finetune")
