@@ -3,6 +3,13 @@
 Each atom is connected to its nearest periodic images within a cutoff radius,
 capped at a maximum neighbor count; edge distances are expanded over a grid
 of Gaussian basis functions.
+
+The neighbor search is a linked-cell search. The periodic images of every
+site are binned into cubes whose edge is the cutoff, and each atom is tested
+only against the points in the 27 bins around its own. At a fixed density a
+bin holds a bounded number of points, so the candidate pairs grow as O(N)
+with the number of sites N, where testing every (atom, site, image) triple
+grows as O(N^2) times the image count.
 """
 
 from __future__ import annotations
@@ -126,7 +133,8 @@ def _image_ranges(lattice: np.ndarray, radius: float) -> tuple[int, int, int]:
     return tuple(int(math.ceil(radius / h)) + 1 for h in heights)
 
 
-_CANDIDATE_BUDGET = 2 ** 21  # (anchor, neighbor, image) triples per block
+# the 27 bins around and including a bin, as (dx, dy, dz) in -1..1
+_STENCIL = np.indices((3, 3, 3)).reshape(3, -1).T - 1
 
 
 def neighbor_list(structure: CrystalStructure, cfg: GraphConfig
@@ -136,6 +144,17 @@ def neighbor_list(structure: CrystalStructure, cfg: GraphConfig
     Returns (src, dst, images, distances) in anchor-major order. Candidates
     are sorted by distance with ties broken by (neighbor index, image vector)
     lexicographically, then truncated to max_neighbors per anchor.
+
+    The image points r_j + shift_o of a block of lattice translations large
+    enough to reach the cutoff are binned into cubes of edge
+    radius * (1 + 1e-9). A pair within the cutoff is at most the radius
+    apart along each axis, so its bins are at most one apart; the 1e-9
+    margin keeps a pair at exactly the cutoff in adjacent bins, whatever
+    the rounding of the bin indices. The result is bit-identical to testing
+    every (anchor, site, image) triple of the block: pruning drops only
+    pairs beyond the cutoff, each candidate's distance is computed by the
+    same expression, and the sort keys are unique per edge, so the order in
+    which candidates are found does not matter.
     """
     cart = frac_to_cart(structure)
     n = structure.n_sites
@@ -144,32 +163,54 @@ def neighbor_list(structure: CrystalStructure, cfg: GraphConfig
                         np.arange(-nc, nc + 1), indexing="ij")
     offsets = np.stack([g.ravel() for g in grids], axis=1)
     shifts = offsets @ structure.lattice
+    # r_j + shift_o, flattened: point p is site p // len(offsets), image
+    # p % len(offsets)
+    image_pos = (cart[:, None, :] + shifts[None, :, :]).reshape(-1, 3)
 
-    image_pos = cart[:, None, :] + shifts[None, :, :]  # r_j + shift_o
-    # blocks of anchors bound the temporaries whatever the cell size
-    per_block = max(1, _CANDIDATE_BUDGET // (n * len(offsets)))
-    blocks = []
-    for lo in range(0, n, per_block):
-        # disp[i, j, o] = r_j + shift_o - r_i
-        disp = image_pos[None] - cart[lo:lo + per_block, None, None, :]
-        dist = np.sqrt((disp * disp).sum(axis=-1))
-        a, j, o = np.nonzero((dist > 0.0) & (dist <= cfg.radius))
-        blocks.append((a + lo, j, o, dist[a, j, o]))
-    anchor_idx, neigh_idx, off_idx, d = (np.concatenate(c) for c in zip(*blocks))
+    # bins cover the anchors' bounding box grown by one bin; image points
+    # outside it are beyond the cutoff of every anchor
+    edge = cfg.radius * (1.0 + 1e-9)
+    lo = cart.min(axis=0) - edge
+    hi = cart.max(axis=0) + edge
+    point_idx = np.nonzero(((image_pos >= lo) & (image_pos <= hi)).all(axis=1))[0]
+    # one more bin than the points need on each axis: that layer stays
+    # empty, so a stencil step past either end of an axis lands in it
+    dims = np.floor((hi - lo) / edge).astype(np.int64) + 2
+    strides = np.array([dims[1] * dims[2], dims[2], 1])
+    point_key = np.floor((image_pos[point_idx] - lo) / edge).astype(np.int64) @ strides
+    by_key = np.argsort(point_key)
+    point_idx, point_key = point_idx[by_key], point_key[by_key]
+
+    # the 27 bins of each anchor as ranges of the sorted points
+    anchor_key = np.floor((cart - lo) / edge).astype(np.int64) @ strides
+    bins = (anchor_key[:, None] + (_STENCIL @ strides)[None, :]).ravel()
+    first = np.searchsorted(point_key, bins, side="left")
+    counts = np.searchsorted(point_key, bins, side="right") - first
+    row_end = np.cumsum(counts)
+    pos = np.arange(row_end[-1]) + np.repeat(first - (row_end - counts), counts)
+    anchor_idx = np.repeat(np.arange(n).repeat(len(_STENCIL)), counts)
+    point = point_idx[pos]
+
+    # disp = r_j + shift_o - r_i
+    disp = image_pos[point] - cart[anchor_idx]
+    dist = np.sqrt((disp * disp).sum(axis=-1))
+    within = np.nonzero((dist > 0.0) & (dist <= cfg.radius))[0]
+    anchor_idx, d = anchor_idx[within], dist[within]
+    neigh_idx, off_idx = np.divmod(point[within], len(offsets))
     img = offsets[off_idx]
 
     order = np.lexsort((img[:, 2], img[:, 1], img[:, 0], neigh_idx, d, anchor_idx))
     anchor_idx, neigh_idx, img, d = (anchor_idx[order], neigh_idx[order],
                                      img[order], d[order])
 
-    starts = np.searchsorted(anchor_idx, np.arange(n), side="left")
-    ends = np.searchsorted(anchor_idx, np.arange(n), side="right")
-    isolated = np.nonzero(starts == ends)[0]
+    per_anchor = np.bincount(anchor_idx, minlength=n)
+    isolated = np.nonzero(per_anchor == 0)[0]
     if len(isolated):
         raise IsolatedAtom(isolated.tolist())
 
-    keep = np.concatenate([
-        np.arange(s, min(s + cfg.max_neighbors, e)) for s, e in zip(starts, ends)])
+    # rank of each edge within its anchor's sorted run
+    rank = np.arange(len(anchor_idx)) - (np.cumsum(per_anchor) - per_anchor)[anchor_idx]
+    keep = rank < cfg.max_neighbors
     return (anchor_idx[keep].astype(np.int64), neigh_idx[keep].astype(np.int64),
             img[keep].astype(np.int64), d[keep])
 

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from crystalpretrain import graphs
 from crystalpretrain.graphs import (FeatureTable, GraphConfig,
                                     GraphError, IsolatedAtom, MissingTableEntry,
                                     build_graph, frac_to_cart, gaussian_expand,
@@ -101,19 +100,95 @@ def test_neighbor_oracle_equivalence(cubic_fe, body_centered):
         assert [g[3] for g in got] == [e[3] for e in expected]
 
 
-@pytest.mark.parametrize("budget", [1, 1000])
-def test_neighbor_blocks_match_oracle(monkeypatch, budget):
-    # a tiny candidate budget splits each cell's anchors over several blocks
+def tiled(structure, tile):
+    """tile^3 copies of the cell; atom a of the result copies atom
+    a % n_sites of the input."""
+    reps = np.array([(i, j, k) for i in range(tile) for j in range(tile)
+                     for k in range(tile)], dtype=np.float64)
+    frac = (structure.frac_coords[None, :, :] + reps[:, None, :]) / tile
+    return CrystalStructure(structure.lattice * tile, frac.reshape(-1, 3),
+                            np.tile(structure.atomic_numbers, len(reps)))
+
+
+def plane_spacings(lattice):
+    return 1.0 / np.linalg.norm(np.linalg.inv(lattice), axis=0)
+
+
+def test_supercell_neighbors_match_oracle_and_primitive():
     cfg = GraphConfig(radius=4.0, max_neighbors=12)
-    cells = [random_structure(seed) for seed in range(20, 30)]
-    whole = [neighbor_list(s, cfg) for s in cells]
-    monkeypatch.setattr(graphs, "_CANDIDATE_BUDGET", budget)
-    assert max(s.n_sites for s in cells) > 1
-    for s, unblocked in zip(cells, whole):
+    for seed in (0, 3, 12):  # 1-, 2- and 1-atom cells
+        prim = random_structure(seed, max_atoms=2)
+        sup = tiled(prim, 3)
+        # the anchors' box spans more than four 4 A bins on every axis, so
+        # no anchor's 27 bins cover it and the search prunes candidates
+        assert plane_spacings(sup.lattice).min() > 2 * cfg.radius
+        expected = brute_force_neighbors(sup, cfg.radius, cfg.max_neighbors)
+        assert graph_edges(sup, cfg) == [tuple(e) for e in expected]
+
+        src, _, _, d = neighbor_list(sup, cfg)
+        psrc, _, _, pd = neighbor_list(prim, cfg)
+        for a in range(sup.n_sites):
+            got = np.sort(d[src == a])
+            ref = np.sort(pd[psrc == a % prim.n_sites])
+            assert len(got) == len(ref)
+            assert np.abs(got - ref).max() <= 1e-9
+
+
+# (radius, cell parameters, unwrapped fractional coordinates) found by a
+# random search over skewed cells: in each, a bin edge of exactly the
+# radius loses an edge at the cutoff, or a bin grid without its empty
+# outer layer visits one bin twice and duplicates an edge
+FLOAT_EDGE_CELLS = [
+    (3.5, (3.5, 2.4, 3.5, 64.0, 87.0, 65.0), [[-0.58, 1.13, -0.58]]),
+    (2.5, (2.5, 5.0, 5.3, 90.0, 96.0, 102.0), [[-0.17, 1.69, -0.17]]),
+    (4.5, (4.5, 4.1, 3.6, 105.0, 64.0, 102.0), [[-0.76, 0.71, -0.76]]),
+    (3.5, (3.5, 2.7, 4.0, 95.0, 80.0, 103.0), [[-0.41, 1.91, -0.31]]),
+    (3.5, (4.2, 2.8, 2.3, 77.0, 78.0, 95.0), [[1.98, 1.98, 0.67]]),
+    (2.5, (5.2, 3.9, 2.4, 87.0, 106.0, 79.0), [[1.86, 1.86, 1.83]]),
+    (3.5, (3.1, 3.0, 2.8, 116.0, 75.0, 73.0), [[1.43, -0.85, 1.47]]),
+]
+
+
+def skewed_cells():
+    gen = np.random.default_rng(5)
+    for _ in range(12):
+        # every angle 8-20 degrees away from 90; a radius beyond every cell
+        # edge, so no atom is isolated
+        angles = 90.0 + gen.choice([-1.0, 1.0], 3) * gen.uniform(8.0, 20.0, 3)
+        n = int(gen.integers(1, 5))
+        frac = gen.uniform(-0.25, 1.25, size=(n, 3))
+        frac[0, 0] = gen.choice([-0.2, 1.2])
+        yield 3.5, (*gen.uniform(3.0, 3.4, 3), *angles), frac
+    yield from FLOAT_EDGE_CELLS
+
+
+def test_skewed_unwrapped_cells_match_oracle():
+    gen = np.random.default_rng(6)
+    for radius, parameters, frac in skewed_cells():
+        lattice = lattice_from_parameters(*parameters)
+        frac = np.array(frac)
+        s = CrystalStructure(lattice, frac, gen.integers(1, 84, size=len(frac)))
+        s.frac_coords = frac  # construction wraps; keep them outside [0, 1)
+        # an image within the radius has |n_k| <= radius / h_k + spread_k,
+        # under 3, so the oracle's -2..2 block holds every one of them
+        spread = frac.max(axis=0) - frac.min(axis=0)
+        assert (radius / plane_spacings(lattice) + spread < 3.0).all()
+        cfg = GraphConfig(radius=radius, max_neighbors=int(gen.choice([3, 12, 40])))
         expected = brute_force_neighbors(s, cfg.radius, cfg.max_neighbors)
         assert graph_edges(s, cfg) == [tuple(e) for e in expected]
-        for got, ref in zip(neighbor_list(s, cfg), unblocked):
-            assert np.array_equal(got, ref)
+
+
+def test_neighbors_exactly_at_cutoff_kept():
+    # simple cubic a = 2 A: shells at 2, 2.83, 3.46 and 4 A hold 6 + 12 + 8
+    # + 6 atoms; the last six sit at exactly the cutoff, one bin edge apart
+    sc = tiled(CrystalStructure(np.diag([2.0, 2.0, 2.0]), [[0.0, 0.0, 0.0]], [26]), 4)
+    cfg = GraphConfig(radius=4.0, max_neighbors=40)
+    src, _, _, d = neighbor_list(sc, cfg)
+    assert np.bincount(src, minlength=sc.n_sites).tolist() == [32] * sc.n_sites
+    assert ((d == 4.0).reshape(sc.n_sites, 32).sum(axis=1) == 6).all()
+    assert d.max() == 4.0
+    expected = brute_force_neighbors(sc, cfg.radius, cfg.max_neighbors)
+    assert graph_edges(sc, cfg) == [tuple(e) for e in expected]
 
 
 def test_max_neighbors_cap():
