@@ -100,6 +100,28 @@ def test_neighbor_oracle_equivalence(cubic_fe, body_centered):
         assert [g[3] for g in got] == [e[3] for e in expected]
 
 
+@pytest.mark.parametrize("cap", [1, 1000])
+def test_neighbor_blocks_match_oracle(cap):
+    # each anchor's candidates come from its block of 27 bins; capped at one
+    # neighbour or not at all, the kept edges equal the oracle's and are the
+    # first of each anchor's run in the uncapped search
+    cfg = GraphConfig(radius=4.0, max_neighbors=cap)
+    cells = [random_structure(seed) for seed in range(20, 30)]
+    assert max(s.n_sites for s in cells) > 1
+    for s in cells:
+        expected = brute_force_neighbors(s, cfg.radius, cfg.max_neighbors)
+        assert graph_edges(s, cfg) == [tuple(e) for e in expected]
+        src, dst, img, d = neighbor_list(s, cfg)
+        wsrc, wdst, wimg, wd = neighbor_list(
+            s, GraphConfig(radius=cfg.radius, max_neighbors=10 ** 6))
+        for a in range(s.n_sites):
+            k = int((src == a).sum())
+            assert k == min(cap, int((wsrc == a).sum()))
+            assert np.array_equal(dst[src == a], wdst[wsrc == a][:k])
+            assert np.array_equal(img[src == a], wimg[wsrc == a][:k])
+            assert np.array_equal(d[src == a], wd[wsrc == a][:k])
+
+
 def tiled(structure, tile):
     """tile^3 copies of the cell; atom a of the result copies atom
     a % n_sites of the input."""
