@@ -256,7 +256,11 @@ def _reconcile_with_checkpoint(rc: RunConfig, cfg: TrainConfig, ckpt,
     if stored_graph.pop("node_feature_mode", None) == "learned-embedding":
         stored_graph["feature_table"] = None
     if stored_graph and not any(k.startswith("graph.") for k in rc.provided):
-        cfg = replace(cfg, graph=GraphConfig(**stored_graph))
+        try:
+            graph = GraphConfig(**stored_graph)
+        except (TypeError, ValueError) as exc:  # an unknown key, or a value out of range
+            raise CheckpointError(f"checkpoint graph_config is invalid: {exc}") from None
+        cfg = replace(cfg, graph=graph)
     if ckpt.metadata.get("edge_feature_width") not in (None, cfg.graph.n_centers):
         raise ShapeMismatch("checkpoint edge feature width",
                             ckpt.metadata["edge_feature_width"], cfg.graph.n_centers)

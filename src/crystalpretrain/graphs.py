@@ -5,11 +5,20 @@ capped at a maximum neighbor count; edge distances are expanded over a grid
 of Gaussian basis functions.
 
 The neighbor search is a linked-cell search. The periodic images of every
-site are binned into cubes whose edge is the cutoff, and each atom is tested
-only against the points in the 27 bins around its own. At a fixed density a
-bin holds a bounded number of points, so the candidate pairs grow as O(N)
-with the number of sites N, where testing every (atom, site, image) triple
-grows as O(N^2) times the image count.
+site are binned into cubes whose edge is the search radius, and each atom is
+tested only against the points in the 27 bins around its own. At a fixed
+density a bin holds a bounded number of points, so the candidate pairs grow
+as O(N) with the number of sites N, where testing every (atom, site, image)
+triple grows as O(N^2) times the image count.
+
+The search runs at two radii. Every atom is first searched at r1, a little
+more than the radius that holds max_neighbors atoms at the cell's mean
+density (5.3-7.1 A for the middle half of the synthetic cells, against the
+default 8 A cutoff), so fewer candidates are found, measured and sorted.
+Only the atoms with fewer than max_neighbors candidates within r1 are
+searched again at the cutoff. The output does not change: an atom with
+max_neighbors candidates within r1 has its nearest ones, ties included,
+among them.
 """
 
 from __future__ import annotations
@@ -136,6 +145,56 @@ def _image_ranges(lattice: np.ndarray, radius: float) -> tuple[int, int, int]:
 # the 27 bins around and including a bin, as (dx, dy, dz) in -1..1
 _STENCIL = np.indices((3, 3, 3)).reshape(3, -1).T - 1
 
+# the first pass searches this multiple of the radius that holds
+# max_neighbors atoms at the cell's mean density; it changes speed only
+_FIRST_PASS_SCALE = 1.2
+
+
+def _candidates(xyz: np.ndarray, image_pos: np.ndarray, radius: float,
+                anchors: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(anchor, point, distance) of every image point within radius of each
+    of anchors, distance 0 excluded, in no particular order.
+
+    xyz and image_pos hold the x, y and z of the sites and of the image
+    points as their three rows. Linked cells: the points are binned into
+    cubes of edge radius * (1 + 1e-9), and each anchor is tested only
+    against the points in the 27 bins around its own. A pair within the
+    radius is at most the radius apart along each axis, so its bins are at
+    most one apart; the 1e-9 margin keeps a pair at exactly the radius in
+    adjacent bins, whatever the rounding of the bin indices.
+    """
+    anchor_pos = xyz[:, anchors]
+    # bins cover the anchors' bounding box grown by one bin; image points
+    # outside it are beyond the radius of every anchor
+    edge = radius * (1.0 + 1e-9)
+    lo = anchor_pos.min(axis=1, keepdims=True) - edge
+    hi = anchor_pos.max(axis=1, keepdims=True) + edge
+    point_idx = np.nonzero(((image_pos >= lo) & (image_pos <= hi)).all(axis=0))[0]
+    # one more bin than the points need on each axis: that layer stays
+    # empty, so a stencil step past either end of an axis lands in it
+    dims = np.floor((hi - lo) / edge).astype(np.int64).ravel() + 2
+    strides = np.array([dims[1] * dims[2], dims[2], 1])
+    point_key = strides @ np.floor((image_pos.take(point_idx, axis=1) - lo)
+                                   / edge).astype(np.int64)
+    by_key = np.argsort(point_key)
+    point_idx, point_key = point_idx[by_key], point_key[by_key]
+
+    # the 27 bins of each anchor as ranges of the sorted points
+    anchor_key = strides @ np.floor((anchor_pos - lo) / edge).astype(np.int64)
+    bins = (anchor_key[:, None] + (_STENCIL @ strides)[None, :]).ravel()
+    first = np.searchsorted(point_key, bins, side="left")
+    counts = np.searchsorted(point_key, bins, side="right") - first
+    row_end = np.cumsum(counts)
+    pos = np.arange(row_end[-1]) + np.repeat(first - (row_end - counts), counts)
+    anchor_idx = np.repeat(anchors.repeat(len(_STENCIL)), counts)
+    point = point_idx[pos]
+
+    # disp = r_j + shift_o - r_i; the squares add in x, y, z order
+    disp = image_pos.take(point, axis=1) - xyz.take(anchor_idx, axis=1)
+    dist = np.sqrt(disp[0] * disp[0] + disp[1] * disp[1] + disp[2] * disp[2])
+    within = np.nonzero((dist > 0.0) & (dist <= radius))[0]
+    return anchor_idx[within], point[within], dist[within]
+
 
 def neighbor_list(structure: CrystalStructure, cfg: GraphConfig
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -145,63 +204,53 @@ def neighbor_list(structure: CrystalStructure, cfg: GraphConfig
     are sorted by distance with ties broken by (neighbor index, image vector)
     lexicographically, then truncated to max_neighbors per anchor.
 
-    The image points r_j + shift_o of a block of lattice translations large
-    enough to reach the cutoff are binned into cubes of edge
-    radius * (1 + 1e-9). A pair within the cutoff is at most the radius
-    apart along each axis, so its bins are at most one apart; the 1e-9
-    margin keeps a pair at exactly the cutoff in adjacent bins, whatever
-    the rounding of the bin indices. The result is bit-identical to testing
-    every (anchor, site, image) triple of the block: pruning drops only
-    pairs beyond the cutoff, each candidate's distance is computed by the
-    same expression, and the sort keys are unique per edge, so the order in
+    The candidates are the image points r_j + shift_o of a block of lattice
+    translations large enough to reach the cutoff, found in two passes of a
+    linked-cell search (_candidates). The first pass searches every anchor
+    at r1 = min(radius, 1.2 r_k), where r_k = (3 k V / (4 pi N))^(1/3) is
+    the radius that holds k = max_neighbors atoms at the cell's mean
+    density. An anchor with at least k candidates within r1 keeps them: its
+    k nearest, and every tie at the k-th distance, lie within r1, and they
+    sort first among its candidates within the cutoff. The second pass
+    searches only the anchors left short, at the cutoff, in place of their
+    first-pass candidates.
+
+    The result is bit-identical to testing every (anchor, site, image)
+    triple of the block: both passes read the same image points, pruning
+    drops only pairs that the cap or the cutoff would drop, and each
+    distance is the square root of dx^2 + dy^2 + dz^2 added left to right.
+    Points are numbered in (neighbor index, image vector) order, so the
+    sort keys (anchor, distance, point) are unique per edge and the order in
     which candidates are found does not matter.
     """
-    cart = frac_to_cart(structure)
+    # contiguous rows of x, y and z: a transposed view would make the
+    # gathers and the arithmetic on them strided, and slower
+    xyz = frac_to_cart(structure).T.copy()
     n = structure.n_sites
     na, nb, nc = _image_ranges(structure.lattice, cfg.radius)
     grids = np.meshgrid(np.arange(-na, na + 1), np.arange(-nb, nb + 1),
                         np.arange(-nc, nc + 1), indexing="ij")
+    # image vectors in lexicographic order
     offsets = np.stack([g.ravel() for g in grids], axis=1)
     shifts = offsets @ structure.lattice
-    # r_j + shift_o, flattened: point p is site p // len(offsets), image
-    # p % len(offsets)
-    image_pos = (cart[:, None, :] + shifts[None, :, :]).reshape(-1, 3)
+    # r_j + shift_o as rows of x, y and z: point p is site p // len(offsets),
+    # image p % len(offsets), so points ascend by (site, image vector)
+    image_pos = (xyz[:, :, None] + shifts.T[:, None, :]).reshape(3, -1)
 
-    # bins cover the anchors' bounding box grown by one bin; image points
-    # outside it are beyond the cutoff of every anchor
-    edge = cfg.radius * (1.0 + 1e-9)
-    lo = cart.min(axis=0) - edge
-    hi = cart.max(axis=0) + edge
-    point_idx = np.nonzero(((image_pos >= lo) & (image_pos <= hi)).all(axis=1))[0]
-    # one more bin than the points need on each axis: that layer stays
-    # empty, so a stencil step past either end of an axis lands in it
-    dims = np.floor((hi - lo) / edge).astype(np.int64) + 2
-    strides = np.array([dims[1] * dims[2], dims[2], 1])
-    point_key = np.floor((image_pos[point_idx] - lo) / edge).astype(np.int64) @ strides
-    by_key = np.argsort(point_key)
-    point_idx, point_key = point_idx[by_key], point_key[by_key]
+    k = cfg.max_neighbors
+    r_k = (3.0 * k * structure.volume / (4.0 * math.pi * n)) ** (1.0 / 3.0)
+    r1 = min(cfg.radius, _FIRST_PASS_SCALE * r_k)
+    anchor_idx, point, d = _candidates(xyz, image_pos, r1, np.arange(n))
+    if r1 < cfg.radius:
+        short = np.bincount(anchor_idx, minlength=n) < k
+        if short.any():
+            keep = ~short[anchor_idx]
+            found = _candidates(xyz, image_pos, cfg.radius, np.nonzero(short)[0])
+            anchor_idx, point, d = (np.concatenate([a[keep], b])
+                                    for a, b in zip((anchor_idx, point, d), found))
 
-    # the 27 bins of each anchor as ranges of the sorted points
-    anchor_key = np.floor((cart - lo) / edge).astype(np.int64) @ strides
-    bins = (anchor_key[:, None] + (_STENCIL @ strides)[None, :]).ravel()
-    first = np.searchsorted(point_key, bins, side="left")
-    counts = np.searchsorted(point_key, bins, side="right") - first
-    row_end = np.cumsum(counts)
-    pos = np.arange(row_end[-1]) + np.repeat(first - (row_end - counts), counts)
-    anchor_idx = np.repeat(np.arange(n).repeat(len(_STENCIL)), counts)
-    point = point_idx[pos]
-
-    # disp = r_j + shift_o - r_i
-    disp = image_pos[point] - cart[anchor_idx]
-    dist = np.sqrt((disp * disp).sum(axis=-1))
-    within = np.nonzero((dist > 0.0) & (dist <= cfg.radius))[0]
-    anchor_idx, d = anchor_idx[within], dist[within]
-    neigh_idx, off_idx = np.divmod(point[within], len(offsets))
-    img = offsets[off_idx]
-
-    order = np.lexsort((img[:, 2], img[:, 1], img[:, 0], neigh_idx, d, anchor_idx))
-    anchor_idx, neigh_idx, img, d = (anchor_idx[order], neigh_idx[order],
-                                     img[order], d[order])
+    order = np.lexsort((point, d, anchor_idx))
+    anchor_idx, point, d = anchor_idx[order], point[order], d[order]
 
     per_anchor = np.bincount(anchor_idx, minlength=n)
     isolated = np.nonzero(per_anchor == 0)[0]
@@ -210,9 +259,10 @@ def neighbor_list(structure: CrystalStructure, cfg: GraphConfig
 
     # rank of each edge within its anchor's sorted run
     rank = np.arange(len(anchor_idx)) - (np.cumsum(per_anchor) - per_anchor)[anchor_idx]
-    keep = rank < cfg.max_neighbors
-    return (anchor_idx[keep].astype(np.int64), neigh_idx[keep].astype(np.int64),
-            img[keep].astype(np.int64), d[keep])
+    keep = rank < k
+    neigh_idx, off_idx = np.divmod(point[keep], len(offsets))
+    return (anchor_idx[keep].astype(np.int64), neigh_idx.astype(np.int64),
+            offsets[off_idx].astype(np.int64), d[keep])
 
 
 def gaussian_expand(distances: np.ndarray, cfg: GraphConfig) -> np.ndarray:

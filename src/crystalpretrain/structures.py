@@ -141,7 +141,12 @@ def lattice_from_parameters(a: float, b: float, c: float,
     ])
 
 
-_NUMBER_RE = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eEdD][+-]?\d+)?(?:\(\d+\))?")
+# groups: mantissa, exponent; a trailing standard uncertainty "(2)" is dropped
+_NUMBER_RE = re.compile(r"([+-]?(?:\d+\.?\d*|\.\d+))(?:[eEdD]([+-]?\d+))?(?:\(\d+\))?")
+# a comment, a quoted string (closed by its quote or the end of the line),
+# or a bare word
+_TOKEN_RE = re.compile(r"""#.*|'[^']*'?|"[^"]*"?|\S+""")
+_SYMBOL_RE = re.compile(r"[A-Za-z]+")
 
 _CELL_TAGS = (
     "_cell_length_a", "_cell_length_b", "_cell_length_c",
@@ -157,34 +162,21 @@ def _parse_number(token: str, line_number: int) -> float:
     m = _NUMBER_RE.fullmatch(token)
     if m is None:
         raise MalformedNumber(line_number, token)
-    token = re.sub(r"\(\d+\)$", "", token)
-    token = token.replace("d", "e").replace("D", "e")
-    return float(token)
+    mantissa, exponent = m.groups()
+    return float(mantissa if exponent is None else f"{mantissa}e{exponent}")
 
 
 def _tokenize(line: str) -> list[str]:
     tokens = []
-    i, n = 0, len(line)
-    while i < n:
-        ch = line[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == "#":
+    for token in _TOKEN_RE.findall(line):
+        head = token[0]
+        if head == "#":
             break
-        if ch in "'\"":
-            j = line.find(ch, i + 1)
-            if j < 0:
-                tokens.append(line[i + 1:])
-                return tokens
-            tokens.append(line[i + 1:j])
-            i = j + 1
-            continue
-        j = i
-        while j < n and not line[j].isspace():
-            j += 1
-        tokens.append(line[i:j])
-        i = j
+        if head in "'\"":
+            # a closed quote ends with its own character; an unclosed one runs
+            # to the end of the line and cannot
+            token = token[1:-1] if len(token) > 1 and token[-1] == head else token[1:]
+        tokens.append(token)
     return tokens
 
 
@@ -268,7 +260,7 @@ def _check_p1(scalars, loops) -> None:
 
 
 def _element_from_token(token: str) -> int:
-    m = re.match(r"[A-Za-z]+", token)
+    m = _SYMBOL_RE.match(token)
     if m is None:
         raise UnknownElement(token)
     symbol = m.group(0)

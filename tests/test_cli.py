@@ -130,8 +130,9 @@ def test_missing_manifest_exits_3(tmp_path):
     assert run(["--out", tmp_path, "pretrain", tmp_path / "nope.csv"]) == 3
 
 
-def _checkpoint_header(drop=None, model_config=None) -> bytes:
-    header = {"version": VERSION, "model_config": model_config or {}, "metadata": {},
+def _checkpoint_header(drop=None, model_config=None, metadata=None) -> bytes:
+    header = {"version": VERSION, "model_config": model_config or {},
+              "metadata": metadata or {},
               "tensors": [], "optimizer_state": None, "payload_bytes": 0}
     header.pop(drop, None)
     return json.dumps(header).encode("utf-8")
@@ -153,6 +154,10 @@ BAD_INPUTS = {
                                             _checkpoint_header(model_config={"width": 3})),
     "checkpoint-model-config-invalid-value": (
         "checkpoint", _checkpoint_header(model_config={"hidden_dim": 0})),
+    "checkpoint-graph-config-unknown-key": (
+        "checkpoint", _checkpoint_header(metadata={"graph_config": {"bogus": 1}})),
+    "checkpoint-graph-config-invalid-value": (
+        "checkpoint", _checkpoint_header(metadata={"graph_config": {"radius": -1.0}})),
     "table-z-not-int": ("table", "z,f0\nFe,1.0\n"),
     "table-feature-not-number": ("table", "z,f0\n26,heavy\n"),
     "table-not-utf8": ("table", "z,f0\n26,1.0\udcff\n"),

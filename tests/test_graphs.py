@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from crystalpretrain import graphs
 from crystalpretrain.graphs import (FeatureTable, GraphConfig,
                                     GraphError, IsolatedAtom, MissingTableEntry,
                                     build_graph, frac_to_cart, gaussian_expand,
@@ -211,6 +212,29 @@ def test_neighbors_exactly_at_cutoff_kept():
     assert d.max() == 4.0
     expected = brute_force_neighbors(sc, cfg.radius, cfg.max_neighbors)
     assert graph_edges(sc, cfg) == [tuple(e) for e in expected]
+
+
+def test_anchor_short_at_first_radius_searched_again():
+    # a dense two-layer slab in a 4 x 4 x 24 A cell, and one atom 7 A above
+    # it in the vacuum: within the first-pass radius that atom finds only
+    # its own in-plane images, so its twelve nearest come from the second
+    # pass at the cutoff
+    slab = [[x, y, z] for z in (0.0, 2.0 / 24) for x in (0.0, 0.5) for y in (0.0, 0.5)]
+    s = CrystalStructure(np.diag([4.0, 4.0, 24.0]), slab + [[0.25, 0.25, 9.0 / 24]],
+                         [26] * 8 + [8])
+    lone = s.n_sites - 1
+    cfg = GraphConfig()
+    r_k = (3 * cfg.max_neighbors * s.volume / (4 * math.pi * s.n_sites)) ** (1 / 3)
+    r1 = graphs._FIRST_PASS_SCALE * r_k
+    assert r1 < cfg.radius
+    within_r1 = [e for e in brute_force_neighbors(s, r1, 10 ** 6) if e[0] == lone]
+    assert len(within_r1) < cfg.max_neighbors
+    # as in the skewed cells below, the oracle's -2..2 block holds every image
+    spread = s.frac_coords.max(axis=0) - s.frac_coords.min(axis=0)
+    assert (cfg.radius / plane_spacings(s.lattice) + spread < 3.0).all()
+    expected = brute_force_neighbors(s, cfg.radius, cfg.max_neighbors)
+    assert graph_edges(s, cfg) == [tuple(e) for e in expected]
+    assert sum(e[0] == lone for e in expected) == cfg.max_neighbors
 
 
 def test_max_neighbors_cap():

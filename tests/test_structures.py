@@ -7,6 +7,7 @@ from crystalpretrain.structures import (CrystalStructure, MalformedNumber,
                                         MissingTag, NonP1Symmetry, StructureError,
                                         UnknownElement, lattice_from_parameters,
                                         parse_cif, wrap_frac, write_cif)
+from crystalpretrain.structures import _parse_number, _tokenize
 from conftest import CUBIC_FE_CIF, random_structure
 
 
@@ -106,6 +107,46 @@ def test_malformed_number_reports_line():
 def test_number_with_uncertainty_suffix():
     s = parse_cif(CUBIC_FE_CIF.replace("_cell_length_a 3.0", "_cell_length_a 3.0(2)"))
     assert s.lattice[0, 0] == 3.0
+
+
+# line -> tokens, as the character-by-character reader gave them
+TOKEN_CASES = {
+    "_name 'a quoted value' 3": ["_name", "a quoted value", "3"],
+    "_tag \"it's\" 'say \"hi\"'": ["_tag", "it's", 'say "hi"'],
+    "'unterminated quote runs on": ["unterminated quote runs on"],
+    "x '": ["x", ""],
+    "x '' y": ["x", "", "y"],
+    "'a'b": ["a", "b"],
+    '"two words"tail': ["two words", "tail"],
+    "#comment only": [],
+    "a #comment after": ["a"],
+    "a\t#x": ["a"],
+    "a#b c": ["a#b", "c"],
+    "'#' kept": ["#", "kept"],
+    "\tFe1\tFe\t0.5 ": ["Fe1", "Fe", "0.5"],
+}
+
+
+@pytest.mark.parametrize("line", list(TOKEN_CASES))
+def test_tokenize_characterization(line):
+    assert _tokenize(line) == TOKEN_CASES[line]
+
+
+@pytest.mark.parametrize("token, value", [
+    ("3.0(2)", 3.0), ("1.5e-3(4)", 0.0015), ("1d-3", 0.001), ("1D+2", 100.0),
+    (".5", 0.5), ("5.", 5.0), ("-2", -2.0)])
+def test_parse_number_characterization(token, value):
+    assert _parse_number(token, 1) == value
+
+
+@pytest.mark.parametrize("old, new, line, token", [
+    ("_cell_length_c 3.0", "_cell_length_c 1.0e", 4, "1.0e"),
+    ("Fe1 Fe 0.0 0.0 0.0", "Fe1 Fe 0.0 .  0.0", 14, "."),
+    ("Fe1 Fe 0.0 0.0 0.0", "Fe1 Fe 0.0 0.0 1(2", 14, "1(2")])
+def test_malformed_number_line_characterization(old, new, line, token):
+    with pytest.raises(MalformedNumber) as err:
+        parse_cif(CUBIC_FE_CIF.replace(old, new))
+    assert (err.value.line_number, err.value.token) == (line, token)
 
 
 def test_wrap_frac_floor_modulo():
