@@ -233,14 +233,18 @@ def concat(tensors) -> Tensor:
                  tuple(tensors), lambda g: tuple(np.split(g, splits, axis=1)))
 
 
-def _runs(ids: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+def _runs(ids: np.ndarray) -> list[tuple[np.ndarray, np.ndarray | None]]:
     """Rows grouped by id for summing: the ids, taken in a stable sort, fall
     into runs of equal ids; runs of equal length L form one group, given as
-    (the id of each run, a (runs, L) array of row indices in row order)."""
+    (the id of each run, a (runs, L) array of row indices in row order).
+    Sorted ids whose runs all have one length form one group with no row
+    indices: the rows as they lie are the runs."""
     order = None if (ids[1:] >= ids[:-1]).all() else np.argsort(ids, kind="stable")
     ids = ids if order is None else ids[order]
     starts = np.flatnonzero(np.diff(ids, prepend=-1))
     lengths = np.diff(starts, append=len(ids))
+    if order is None and len(starts) and (lengths == lengths[0]).all():
+        return [(ids[starts], None)]
     groups = []
     for length in np.unique(lengths):
         first = starts[lengths == length]
@@ -251,12 +255,16 @@ def _runs(ids: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
 
 def _sum_runs(x: np.ndarray, groups, num_segments: int) -> np.ndarray:
     """Rows of x summed per id, in row order within each id as np.add.at
-    adds them; zero where absent. One gather and sum per run length:
+    adds them (numpy sums a one-column x pairwise over runs of eight rows or
+    more); zero where absent. One gather and sum per run length, or a
+    reshape and no gather when the rows already lie in equal runs:
     np.add.at and np.add.reduceat pay per row or per run, several times
     slower on edge-sized arrays."""
     out = np.zeros((num_segments, x.shape[1]))
     for heads, rows in groups:
-        out[heads] = x[rows].sum(axis=1)
+        runs = (np.ascontiguousarray(x).reshape(len(heads), -1, x.shape[1])
+                if rows is None else x[rows])
+        out[heads] = runs.sum(axis=1)
     return out
 
 
@@ -278,6 +286,12 @@ def segment_sum(a, segment_ids, num_segments: int) -> Tensor:
                  (a,), lambda g: (g[segment_ids],))
 
 
+# Edge rows per block in gated_conv: a (rows, 2h) float64 pre-activation
+# block at the default h = 64 is 0.5 MB, so the chain of elementwise passes
+# over a block runs in L2 instead of streaming edge-sized arrays from memory.
+_EDGE_BLOCK = 512
+
+
 def gated_conv(v, e, src, dst, gate_weight, gate_bias, self_weight, self_bias) -> Tensor:
     """CGCNN gated residual convolution as one op:
     v + sum over edges i->j of sigmoid(z W_g + b_g) * softplus(z W_s + b_s),
@@ -286,6 +300,16 @@ def gated_conv(v, e, src, dst, gate_weight, gate_bias, self_weight, self_bias) -
     Gate and filter share one (2h + k, 2h) matrix W, cut into row blocks
     W_a, W_b, W_e, so the edge pre-activation is (v W_a)[src] + (v W_b)[dst]
     + e W_e + b: node-sized matmuls plus one over the edge features.
+
+    The edge-sized work runs in blocks of _EDGE_BLOCK edge rows: each block's
+    pre-activation is built in one reused buffer and turned, by in-place
+    ufuncs in the same operation order as whole-array expressions, into
+    rows of the gate, the message and, when a tape records the op, the
+    filter's sigmoid. The backward keeps those three (m, h) arrays, not the
+    pre-activation; it fills the joined (m, 2h) pre-activation gradient
+    block by block, then sums it per anchor and per neighbour and applies
+    the joined matmuls over all edges at once. Blocking changes no bit of
+    the output or of any gradient.
     """
     v, e, *weights = map(_as_tensor, (v, e, gate_weight, gate_bias, self_weight, self_bias))
     src, dst = np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)
@@ -298,18 +322,38 @@ def gated_conv(v, e, src, dst, gate_weight, gate_bias, self_weight, self_bias) -
     w = np.concatenate([weights[0].values, weights[2].values], axis=1)
     b = np.concatenate([weights[1].values, weights[3].values], axis=1)
     w_a, w_b, w_e = w[:h], w[h:2 * h], w[2 * h:]
-    pre = e.values @ w_e + b
-    pre += (v.values @ w_a)[src]
-    pre += (v.values @ w_b)[dst]
-    gate = _sigmoid(pre[:, :h])
-    msg = gate * _softplus(pre[:, h:])
+    node_a, node_b = v.values @ w_a, v.values @ w_b
+    taped = _active_tape() is not None and any(t.requires_grad for t in (v, e, *weights))
+    gate, msg = np.empty((m, h)), np.empty((m, h))
+    filt = np.empty((m, h)) if taped else None  # sigmoid of the filter pre-activation
+    pre, rows = np.empty((2, min(m, _EDGE_BLOCK), 2 * h))
+    tail = np.empty((min(m, _EDGE_BLOCK), h))
+    for lo in range(0, m, _EDGE_BLOCK):
+        hi = min(lo + _EDGE_BLOCK, m)
+        p, r = pre[:hi - lo], rows[:hi - lo]
+        np.matmul(e.values[lo:hi], w_e, out=p)
+        p += b
+        p += np.take(node_a, src[lo:hi], axis=0, out=r)
+        p += np.take(node_b, dst[lo:hi], axis=0, out=r)
+        _sigmoid(p[:, :h], out=gate[lo:hi])
+        _softplus(p[:, h:], out=msg[lo:hi], scratch=tail[:hi - lo])
+        msg[lo:hi] *= gate[lo:hi]
+        if taped:
+            _sigmoid(p[:, h:], out=filt[lo:hi])
     by_src = _runs(src)
 
     def backward_fn(g):
-        g_msg = g[src]
-        g_pre = np.empty_like(pre)
-        g_pre[:, :h] = g_msg * msg * (1.0 - gate)
-        g_pre[:, h:] = g_msg * gate * _sigmoid(pre[:, h:])
+        g_pre = np.empty((m, 2 * h))
+        g_msg, tmp = np.empty((2, min(m, _EDGE_BLOCK), h))
+        for lo in range(0, m, _EDGE_BLOCK):
+            hi = min(lo + _EDGE_BLOCK, m)
+            gm, t = g_msg[:hi - lo], tmp[:hi - lo]
+            np.take(g, src[lo:hi], axis=0, out=gm)
+            # [g_msg * msg * (1 - gate), g_msg * gate * filt], left to right
+            np.multiply(gm, msg[lo:hi], out=g_pre[lo:hi, :h])
+            g_pre[lo:hi, :h] *= np.subtract(1.0, gate[lo:hi], out=t)
+            np.multiply(gm, gate[lo:hi], out=t)
+            np.multiply(t, filt[lo:hi], out=g_pre[lo:hi, h:])
         g_src = _sum_runs(g_pre, by_src, n)
         g_dst = _sum_runs(g_pre, _runs(dst), n)
         g_w = np.concatenate([v.values.T @ g_src, v.values.T @ g_dst, e.values.T @ g_pre])
@@ -353,8 +397,13 @@ def power(a, p: float) -> Tensor:
                  lambda g: (g * p * a.values ** (p - 1.0),))
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
+def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """0.5 * (1 + tanh(x / 2)), step by step in place (in out, if given)."""
+    out = np.multiply(x, 0.5, out=out)
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= 0.5
+    return out
 
 
 def sigmoid(a) -> Tensor:
@@ -363,8 +412,16 @@ def sigmoid(a) -> Tensor:
     return _make("sigmoid", out, (a,), lambda g: (g * out * (1.0 - out),))
 
 
-def _softplus(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+def _softplus(x: np.ndarray, out: np.ndarray | None = None,
+              scratch: np.ndarray | None = None) -> np.ndarray:
+    """max(x, 0) + log1p(exp(-|x|)), in place in out and scratch if given."""
+    tail = np.abs(x, out=scratch)
+    np.negative(tail, out=tail)
+    np.exp(tail, out=tail)
+    np.log1p(tail, out=tail)
+    out = np.maximum(x, 0.0, out=out)
+    out += tail
+    return out
 
 
 def softplus(a) -> Tensor:

@@ -10,6 +10,8 @@ costs one down/up conversion.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -75,6 +77,23 @@ def _tensor_entries(table: dict[str, np.ndarray], offset: int):
     return entries, offset
 
 
+def write_atomically(path, data: bytes) -> None:
+    """Write data to a temporary file beside path, fsync it, then os.replace
+    it onto path: a crash part-way leaves the previous file whole, and an
+    exception removes the temporary file."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
     tensor_entries, offset = _tensor_entries(ckpt.tensors, 0)
     opt_entries = None
@@ -89,28 +108,34 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
         "payload_bytes": offset,
     }
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", VERSION))
-        fh.write(struct.pack("<Q", len(header_bytes)))
-        fh.write(header_bytes)
-        for name in sorted(ckpt.tensors):
-            fh.write(np.ascontiguousarray(ckpt.tensors[name], dtype="<f4").tobytes())
-        if ckpt.optimizer_state is not None:
-            for name in sorted(ckpt.optimizer_state):
-                fh.write(np.ascontiguousarray(ckpt.optimizer_state[name],
-                                              dtype="<f4").tobytes())
+    tables = [ckpt.tensors] + ([ckpt.optimizer_state] if ckpt.optimizer_state is not None else [])
+    write_atomically(path, b"".join(
+        [MAGIC, struct.pack("<I", VERSION), struct.pack("<Q", len(header_bytes)), header_bytes]
+        + [np.ascontiguousarray(table[name], dtype="<f4").tobytes()
+           for table in tables for name in sorted(table)]))
+
+
+def _is_count(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
 
 
 def _read_table(entries, payload: bytes) -> dict[str, np.ndarray]:
+    """Tensors of one header table; every entry must hold a string name, a
+    shape of counts and a byte offset, and end within the payload."""
+    if not isinstance(entries, list):
+        raise CheckpointError("checkpoint tensor table is not a list")
     out = {}
     for entry in entries:
+        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+                and isinstance(entry.get("shape"), list)
+                and all(map(_is_count, entry["shape"])) and _is_count(entry.get("offset"))):
+            raise CheckpointError(f"checkpoint tensor entry is invalid: {entry!r}")
         shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
         start = entry["offset"]
-        end = start + count * 4
+        end = start + 4 * math.prod(shape)
         if end > len(payload):
-            raise TruncatedPayload(end, len(payload))
+            raise CheckpointError(f"checkpoint tensor {entry['name']!r} ends at byte {end},"
+                                  f" past payload_bytes {len(payload)}")
         arr = np.frombuffer(payload[start:end], dtype="<f4").reshape(shape)
         out[entry["name"]] = arr.copy()
     return out
@@ -136,9 +161,14 @@ def load_checkpoint(path) -> Checkpoint:
     required = {"tensors", "payload_bytes", "model_config"}
     if not (isinstance(header, dict) and required <= header.keys()):
         raise CheckpointError(f"checkpoint header lacks one of {sorted(required)}")
-    payload = data[pos + header_len:]
-    if len(payload) < header["payload_bytes"]:
-        raise TruncatedPayload(header["payload_bytes"], len(payload))
+    payload_bytes = header["payload_bytes"]
+    if not _is_count(payload_bytes):
+        raise CheckpointError(f"checkpoint payload_bytes is not a count: {payload_bytes!r}")
+    payload = data[pos + header_len:pos + header_len + payload_bytes]
+    if len(payload) < payload_bytes:
+        raise TruncatedPayload(payload_bytes, len(payload))
+    if not isinstance(header.get("metadata", {}), dict):
+        raise CheckpointError("checkpoint metadata is not a JSON object")
     tensors = _read_table(header["tensors"], payload)
     opt = None
     if header.get("optimizer_state") is not None:

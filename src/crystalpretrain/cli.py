@@ -21,7 +21,7 @@ import numpy as np
 
 from .augment import AugmentConfig, make_views
 from .autodiff import NonFinite, ShapeMismatch
-from .checkpoint import CheckpointError, load_checkpoint
+from .checkpoint import CheckpointError, load_checkpoint, write_atomically
 from .datasets import (DatasetManifest, ManifestError, PlacementFailure,
                        SyntheticConfig, element_frequencies,
                        generate_synthetic_dataset, load_manifest, load_structures,
@@ -191,16 +191,11 @@ def _out_dir(args) -> Path:
 def _write_metrics(out: Path, metrics: Metrics) -> str:
     """Write out/metrics.csv; return the test score as key=value for the
     command's summary line."""
-    with open(out / "metrics.csv", "w", encoding="utf-8") as fh:
-        fh.write("metric,value\n")
-        if metrics.mae is not None:
-            fh.write(f"test_mae,{metrics.mae!r}\n")
-        if metrics.accuracy is not None:
-            fh.write(f"test_accuracy,{metrics.accuracy!r}\n")
-        if metrics.val_metric is not None:
-            fh.write(f"best_val_metric,{metrics.val_metric!r}\n")
-        if metrics.best_epoch is not None:
-            fh.write(f"best_epoch,{metrics.best_epoch}\n")
+    rows = [("test_mae", metrics.mae), ("test_accuracy", metrics.accuracy),
+            ("best_val_metric", metrics.val_metric), ("best_epoch", metrics.best_epoch)]
+    text = "metric,value\n" + "".join(f"{name},{value!r}\n" for name, value in rows
+                                       if value is not None)
+    write_atomically(out / "metrics.csv", text.encode("utf-8"))
     if metrics.mae is not None:
         return f"test_mae={metrics.mae!r}"
     return f"test_accuracy={metrics.accuracy!r}"

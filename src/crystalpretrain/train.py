@@ -17,7 +17,8 @@ import numpy as np
 from . import autodiff as ad
 from .augment import AugmentConfig, make_views
 from .autodiff import Tape, Tensor, backward
-from .checkpoint import Checkpoint, checkpoint_from_params, save_checkpoint
+from .checkpoint import (Checkpoint, checkpoint_from_params, save_checkpoint,
+                         write_atomically)
 from .datasets import DatasetManifest, ManifestRecord, load_structures
 from .graphs import FeatureTable, GraphConfig, build_graph, load_feature_table
 from .losses import LossConfig, compute_loss
@@ -261,10 +262,9 @@ class TrainingLog:
         self.rows.append((step, epoch, phase, "", name, repr(float(value))))
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(",".join(self.COLUMNS) + "\n")
-            for row in self.rows:
-                fh.write(",".join(str(c) for c in row) + "\n")
+        lines = [self.COLUMNS, *self.rows]
+        write_atomically(path, "".join(",".join(map(str, row)) + "\n" for row in lines)
+                         .encode("utf-8"))
 
 
 def mean_absolute_error(preds, targets) -> float:

@@ -104,6 +104,31 @@ def test_segment_sum_conserves_total():
     assert out.values.sum() == values.sum()
 
 
+RUN_IDS = {
+    "sorted-one-length": np.repeat([0, 2, 3, 6], 12),
+    "sorted-mixed-lengths": np.repeat([0, 2, 3, 6], [12, 1, 12, 30]),
+    "unsorted": np.random.default_rng(4).permutation(np.repeat([0, 2, 3, 6], [12, 1, 12, 30])),
+    "single-id": np.full(40, 5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RUN_IDS))
+@pytest.mark.parametrize("columns", ["contiguous", "strided"])
+def test_sum_runs_adds_in_add_at_order(case, columns):
+    # x has three columns: numpy sums a single column pairwise once a run
+    # reaches eight rows, which np.add.at does not
+    ids = RUN_IDS[case]
+    gen = np.random.default_rng(5)
+    wide = gen.normal(size=(len(ids), 6)) * 10.0 ** gen.uniform(-8, 8, size=(len(ids), 1))
+    x = np.ascontiguousarray(wide[:, :3]) if columns == "contiguous" else wide[:, ::2]
+    groups = ad._runs(ids)
+    # sorted ids with runs of one length skip the gather
+    assert (groups[0][1] is None) == (case in ("sorted-one-length", "single-id"))
+    expected = np.zeros((7, 3))
+    np.add.at(expected, ids, x)
+    assert np.array_equal(ad._sum_runs(x, groups, 7), expected)
+
+
 def test_recording_is_reproducible():
     def run():
         with Tape() as tape:

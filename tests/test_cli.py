@@ -130,10 +130,9 @@ def test_missing_manifest_exits_3(tmp_path):
     assert run(["--out", tmp_path, "pretrain", tmp_path / "nope.csv"]) == 3
 
 
-def _checkpoint_header(drop=None, model_config=None, metadata=None) -> bytes:
-    header = {"version": VERSION, "model_config": model_config or {},
-              "metadata": metadata or {},
-              "tensors": [], "optimizer_state": None, "payload_bytes": 0}
+def _checkpoint_header(drop=None, **fields) -> bytes:
+    header = {"version": VERSION, "model_config": {}, "metadata": {},
+              "tensors": [], "optimizer_state": None, "payload_bytes": 0, **fields}
     header.pop(drop, None)
     return json.dumps(header).encode("utf-8")
 
@@ -158,6 +157,23 @@ BAD_INPUTS = {
         "checkpoint", _checkpoint_header(metadata={"graph_config": {"bogus": 1}})),
     "checkpoint-graph-config-invalid-value": (
         "checkpoint", _checkpoint_header(metadata={"graph_config": {"radius": -1.0}})),
+    "checkpoint-tensors-not-list": ("checkpoint", _checkpoint_header(tensors={"w": [1]})),
+    "checkpoint-tensor-no-shape": (
+        "checkpoint", _checkpoint_header(tensors=[{"name": "w", "offset": 0}])),
+    "checkpoint-tensor-name-not-string": (
+        "checkpoint", _checkpoint_header(tensors=[{"name": 1, "shape": [0], "offset": 0}])),
+    "checkpoint-tensor-shape-negative": (
+        "checkpoint", _checkpoint_header(tensors=[{"name": "w", "shape": [-1], "offset": 0}])),
+    "checkpoint-tensor-offset-negative": (
+        "checkpoint", _checkpoint_header(tensors=[{"name": "w", "shape": [1], "offset": -8}])),
+    "checkpoint-tensor-offset-not-int": (
+        "checkpoint", _checkpoint_header(tensors=[{"name": "w", "shape": [0], "offset": 0.0}])),
+    "checkpoint-tensor-past-payload-bytes": (
+        "checkpoint", _checkpoint_header(tensors=[{"name": "w", "shape": [2], "offset": 0}])),
+    "checkpoint-optimizer-state-not-list": ("checkpoint",
+                                            _checkpoint_header(optimizer_state={})),
+    "checkpoint-payload-bytes-not-int": ("checkpoint", _checkpoint_header(payload_bytes="0")),
+    "checkpoint-metadata-not-dict": ("checkpoint", _checkpoint_header(metadata=[])),
     "table-z-not-int": ("table", "z,f0\nFe,1.0\n"),
     "table-feature-not-number": ("table", "z,f0\n26,heavy\n"),
     "table-not-utf8": ("table", "z,f0\n26,1.0\udcff\n"),

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from crystalpretrain import autodiff as ad
 from crystalpretrain.augment import AugmentConfig, apply_augmentations, make_views
 from crystalpretrain.autodiff import EmptySegment, Tensor, grad_check
-from crystalpretrain.graphs import GraphConfig, build_graph
+from crystalpretrain.graphs import GraphConfig, IsolatedAtom, build_graph
 from crystalpretrain.losses import LossConfig, compute_loss
 from crystalpretrain.model import (ModelConfig, build_batch, cgcnn_conv, encode,
                                    embed_graphs, head_forward, init_params,
@@ -207,15 +208,30 @@ def test_conv_gradient_check():
     assert err < 1e-4
 
 
-def conv_case(seed, drop_anchor=False, shuffle=False):
-    """Inputs of one convolution over three augmented graphs (masked atoms
-    and masked edges): node rows, edge rows, src, dst and the four weights.
+def block_graphs():
+    """Toy graphs with more than 2.5 blocks of ad._EDGE_BLOCK edges between
+    them; structures with an atom isolated at GCHECK's radius are skipped."""
+    graphs = []
+    for k in itertools.count(100):
+        try:
+            graphs.append(build_graph(random_structure(k, max_atoms=5), GCHECK))
+        except IsolatedAtom:
+            continue
+        if sum(len(g.src) for g in graphs) > 2.5 * ad._EDGE_BLOCK + 50:
+            return graphs
+
+
+def conv_case(seed, drop_anchor=False, shuffle=False, blocks=False):
+    """Inputs of one convolution over three augmented toy graphs (masked
+    atoms and masked edges), or over block_graphs(): node rows, edge rows,
+    src, dst and the four weights.
     drop_anchor removes every edge leaving one node; shuffle permutes the
     edges, so src is unsorted too (dst never is)."""
     gen = np.random.default_rng(seed)
     strong = AugmentConfig(atom_mask_fraction=0.3, edge_mask_fraction=0.3, gndn_delta=0.3)
+    graphs = block_graphs() if blocks else toy_graphs(3, seed=seed, cfg=GCHECK)
     views = [apply_augmentations(g, strong, RngStream(seed, k), GCHECK)
-             for k, g in enumerate(toy_graphs(3, seed=seed, cfg=GCHECK))]
+             for k, g in enumerate(graphs)]
     batch = build_batch(views)
     n, h, k = len(batch.node_z), 4, GCHECK.n_centers
     feats = gen.normal(size=(n, h)) * batch.node_keep[:, None]
@@ -229,32 +245,43 @@ def conv_case(seed, drop_anchor=False, shuffle=False):
     return feats, batch.edge_features[edges], batch.src[edges], batch.dst[edges], weights
 
 
-@pytest.mark.parametrize("drop_anchor,shuffle", [(False, False), (True, False),
-                                                 (False, True), (True, True)])
-def test_gated_conv_matches_scalar_oracle(drop_anchor, shuffle):
-    feats, edge_feats, src, dst, weights = conv_case(21, drop_anchor, shuffle)
+@pytest.mark.parametrize("drop_anchor,shuffle,blocks", [
+    (False, False, False), (True, False, False), (False, True, False), (True, True, False),
+    (True, True, True)], ids=["False-False", "True-False", "False-True", "True-True", "blocks"])
+def test_gated_conv_matches_scalar_oracle(drop_anchor, shuffle, blocks):
+    feats, edge_feats, src, dst, weights = conv_case(21, drop_anchor, shuffle, blocks)
     assert (feats == 0.0).all(axis=1).any()  # a masked atom
     assert (edge_feats == 0.0).all(axis=1).any()  # a masked edge
     assert (np.diff(dst) < 0).any()
     assert (np.diff(src) < 0).any() == shuffle
     lonely = np.bincount(src, minlength=len(feats)) == 0
     assert lonely.any() == drop_anchor
+    # several edge blocks, the last one partial
+    assert (len(src) > 2.5 * ad._EDGE_BLOCK) == blocks and len(src) % ad._EDGE_BLOCK
     out = ad.gated_conv(Tensor(feats), Tensor(edge_feats), src, dst, *map(Tensor, weights))
     expected = np.array(gated_conv_loop(feats.tolist(), edge_feats.tolist(), src, dst,
                                         *[w.tolist() for w in weights]))
     assert np.abs(out.values - expected).max() <= 1e-10 * np.abs(expected).max()
     assert np.array_equal(out.values[lonely], feats[lonely])
+    # the op keeps more for a tape to differentiate, and computes the same
+    inputs = [Tensor(x, requires_grad=True) for x in (feats, edge_feats, *weights)]
+    with ad.Tape() as tape:
+        taped = ad.gated_conv(inputs[0], inputs[1], src, dst, *inputs[2:])
+    assert len(tape.records) == 1
+    assert np.array_equal(taped.values, out.values)
 
 
 def test_gated_conv_gradient_check_every_input():
-    feats, edge_feats, src, dst, weights = conv_case(22, drop_anchor=True, shuffle=True)
-    inputs = [Tensor(x, requires_grad=True) for x in (feats, edge_feats, *weights)]
-    mix = Tensor(np.random.default_rng(23).normal(size=feats.shape))
+    for blocks in (False, True):
+        feats, edge_feats, src, dst, weights = conv_case(22, drop_anchor=True, shuffle=True,
+                                                         blocks=blocks)
+        inputs = [Tensor(x, requires_grad=True) for x in (feats, edge_feats, *weights)]
+        mix = Tensor(np.random.default_rng(23).normal(size=feats.shape))
 
-    def f(p):
-        return ad.sum_(ad.mul(ad.gated_conv(p[0], p[1], src, dst, *p[2:]), mix))
+        def f(p):
+            return ad.sum_(ad.mul(ad.gated_conv(p[0], p[1], src, dst, *p[2:]), mix))
 
-    assert grad_check(f, inputs, h=1e-5, seed=3) < 1e-6
+        assert grad_check(f, inputs, h=1e-5, seed=3) < 1e-6, f"blocks={blocks}"
 
 
 def test_sup_bt_step_tape_records():
