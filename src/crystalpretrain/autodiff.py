@@ -287,9 +287,12 @@ def segment_sum(a, segment_ids, num_segments: int) -> Tensor:
 
 
 # Edge rows per block in gated_conv: a (rows, 2h) float64 pre-activation
-# block at the default h = 64 is 0.5 MB, so the chain of elementwise passes
-# over a block runs in L2 instead of streaming edge-sized arrays from memory.
-_EDGE_BLOCK = 512
+# block at the default h = 64 is 128 KB, so the chain of elementwise passes
+# over a block, with its buffers and gathered node rows, stays well inside
+# L2 instead of streaming edge-sized arrays from memory. At 512 rows the
+# block's working set is about 2 MB, the whole L2 of a Sapphire Rapids
+# core, and its speed swung from one run to the next.
+_EDGE_BLOCK = 128
 
 
 def gated_conv(v, e, src, dst, gate_weight, gate_bias, self_weight, self_bias) -> Tensor:
@@ -319,6 +322,11 @@ def gated_conv(v, e, src, dst, gate_weight, gate_bias, self_weight, self_bias) -
     (n, h), (m, k) = shapes[:2]
     if src.shape != (m,) or dst.shape != (m,) or shapes[2:] != [(2 * h + k, h), (1, h)] * 2:
         raise ShapeMismatch("gated_conv", *shapes, src.shape, dst.shape)
+    # the endpoints are checked once here, as indexing would check them, so
+    # the gathers below can take mode="wrap": with out= and the default
+    # mode="raise", np.take writes into a temporary and copies it over
+    if m and not (-n <= min(src.min(), dst.min()) and max(src.max(), dst.max()) < n):
+        raise IndexError(f"gated_conv: an edge endpoint is out of range for {n} nodes")
     w = np.concatenate([weights[0].values, weights[2].values], axis=1)
     b = np.concatenate([weights[1].values, weights[3].values], axis=1)
     w_a, w_b, w_e = w[:h], w[h:2 * h], w[2 * h:]
@@ -333,8 +341,8 @@ def gated_conv(v, e, src, dst, gate_weight, gate_bias, self_weight, self_bias) -
         p, r = pre[:hi - lo], rows[:hi - lo]
         np.matmul(e.values[lo:hi], w_e, out=p)
         p += b
-        p += np.take(node_a, src[lo:hi], axis=0, out=r)
-        p += np.take(node_b, dst[lo:hi], axis=0, out=r)
+        p += np.take(node_a, src[lo:hi], axis=0, out=r, mode="wrap")
+        p += np.take(node_b, dst[lo:hi], axis=0, out=r, mode="wrap")
         _sigmoid(p[:, :h], out=gate[lo:hi])
         _softplus(p[:, h:], out=msg[lo:hi], scratch=tail[:hi - lo])
         msg[lo:hi] *= gate[lo:hi]
@@ -348,7 +356,7 @@ def gated_conv(v, e, src, dst, gate_weight, gate_bias, self_weight, self_bias) -
         for lo in range(0, m, _EDGE_BLOCK):
             hi = min(lo + _EDGE_BLOCK, m)
             gm, t = g_msg[:hi - lo], tmp[:hi - lo]
-            np.take(g, src[lo:hi], axis=0, out=gm)
+            np.take(g, src[lo:hi], axis=0, out=gm, mode="wrap")
             # [g_msg * msg * (1 - gate), g_msg * gate * filt], left to right
             np.multiply(gm, msg[lo:hi], out=g_pre[lo:hi, :h])
             g_pre[lo:hi, :h] *= np.subtract(1.0, gate[lo:hi], out=t)

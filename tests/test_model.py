@@ -209,7 +209,7 @@ def test_conv_gradient_check():
 
 
 def block_graphs():
-    """Toy graphs with more than 2.5 blocks of ad._EDGE_BLOCK edges between
+    """Toy graphs with more than ten blocks of ad._EDGE_BLOCK edges between
     them; structures with an atom isolated at GCHECK's radius are skipped."""
     graphs = []
     for k in itertools.count(100):
@@ -217,7 +217,7 @@ def block_graphs():
             graphs.append(build_graph(random_structure(k, max_atoms=5), GCHECK))
         except IsolatedAtom:
             continue
-        if sum(len(g.src) for g in graphs) > 2.5 * ad._EDGE_BLOCK + 50:
+        if sum(len(g.src) for g in graphs) > 10 * ad._EDGE_BLOCK + 50:
             return graphs
 
 
@@ -282,6 +282,18 @@ def test_gated_conv_gradient_check_every_input():
             return ad.sum_(ad.mul(ad.gated_conv(p[0], p[1], src, dst, *p[2:]), mix))
 
         assert grad_check(f, inputs, h=1e-5, seed=3) < 1e-6, f"blocks={blocks}"
+
+
+@pytest.mark.parametrize("end,bad", [("src", 4), ("src", -5), ("dst", 4), ("dst", -5)])
+def test_gated_conv_rejects_endpoint_out_of_range(end, bad):
+    feats, edge_feats, src, dst, weights = conv_case(24)
+    feats = feats[:4]
+    ends = {"src": src % 4, "dst": dst % 4}
+    ends[end] = ends[end].copy()
+    ends[end][len(src) // 2] = bad
+    with pytest.raises(IndexError):
+        ad.gated_conv(Tensor(feats), Tensor(edge_feats), ends["src"], ends["dst"],
+                      *map(Tensor, weights))
 
 
 def test_sup_bt_step_tape_records():
