@@ -253,18 +253,29 @@ def _runs(ids: np.ndarray) -> list[tuple[np.ndarray, np.ndarray | None]]:
     return groups
 
 
+# Rows per gather in _sum_runs: a group's runs are gathered and summed in
+# chunks of whole runs covering about this many rows, so each gathered
+# block stays in L2 instead of one gather copying all of x out to memory.
+# On a 10,320-edge desk batch 512 ran faster than 128, 256, 1024 and 2048.
+_SUM_CHUNK_ROWS = 512
+
+
 def _sum_runs(x: np.ndarray, groups, num_segments: int) -> np.ndarray:
     """Rows of x summed per id, in row order within each id as np.add.at
     adds them (numpy sums a one-column x pairwise over runs of eight rows or
-    more); zero where absent. One gather and sum per run length, or a
-    reshape and no gather when the rows already lie in equal runs:
-    np.add.at and np.add.reduceat pay per row or per run, several times
-    slower on edge-sized arrays."""
+    more); zero where absent. A gather and sum per chunk of runs of one
+    length, or a reshape and no gather when the rows already lie in equal
+    runs: np.add.at and np.add.reduceat pay per row or per run, several
+    times slower on edge-sized arrays. Chunking sums each run as a whole,
+    so it changes no bit."""
     out = np.zeros((num_segments, x.shape[1]))
     for heads, rows in groups:
-        runs = (np.ascontiguousarray(x).reshape(len(heads), -1, x.shape[1])
-                if rows is None else x[rows])
-        out[heads] = runs.sum(axis=1)
+        if rows is None:
+            out[heads] = np.ascontiguousarray(x).reshape(len(heads), -1, x.shape[1]).sum(axis=1)
+            continue
+        step = max(1, _SUM_CHUNK_ROWS // rows.shape[1])
+        for lo in range(0, len(heads), step):
+            out[heads[lo:lo + step]] = x[rows[lo:lo + step]].sum(axis=1)
     return out
 
 

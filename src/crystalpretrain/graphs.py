@@ -27,6 +27,7 @@ import csv
 import hashlib
 import io
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -265,12 +266,25 @@ def neighbor_list(structure: CrystalStructure, cfg: GraphConfig
             offsets[off_idx].astype(np.int64), d[keep])
 
 
+# exp(x) is a normal float64 exactly when x >= this (math, not np.finfo,
+# which costs import time)
+_LOG_MIN_NORMAL = math.log(sys.float_info.min)
+
+
 def gaussian_expand(distances: np.ndarray, cfg: GraphConfig) -> np.ndarray:
-    """exp(-(d - mu_k)^2 / sigma^2) over the center grid; no clipping, so
-    negative distances (possible after noising) are fine."""
+    """exp(-(d - mu_k)^2 / sigma^2) over the center grid. Any distance is
+    accepted, negative ones (possible after noising) included. A value below
+    the smallest normal float64 (|d - mu_k| > 26.6 sigma, 5.32 A at the
+    default sigma) is exactly 0, not subnormal: subnormal operands slow down the matmuls
+    over the edge features severalfold, and the exponentials that would
+    give them are slow too. Every other value is the formula's."""
     d = np.asarray(distances, dtype=np.float64)
-    diff = d[:, None] - cfg.centers[None, :]
-    return np.exp(-(diff * diff) / (cfg.sigma * cfg.sigma))
+    arg = d[:, None] - cfg.centers[None, :]
+    arg *= arg
+    np.negative(arg, out=arg)
+    arg /= cfg.sigma * cfg.sigma
+    arg[arg < _LOG_MIN_NORMAL] = -np.inf
+    return np.exp(arg, out=arg)
 
 
 @dataclass

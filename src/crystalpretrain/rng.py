@@ -31,7 +31,10 @@ class RngStream:
         return RngStream(*(self.key + tuple(_code(p) for p in subkey)))
 
     def generator(self) -> np.random.Generator:
-        return np.random.Generator(np.random.PCG64(np.random.SeedSequence(self.key)))
+        # every part is below 2**32, so a uint32 array gives SeedSequence the
+        # entropy words the tuple would, without coercing each int in Python
+        seed = np.random.SeedSequence(np.array(self.key, dtype=np.uint32))
+        return np.random.Generator(np.random.PCG64(seed))
 
     def __repr__(self):
         return f"RngStream{self.key}"

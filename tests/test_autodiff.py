@@ -109,6 +109,10 @@ RUN_IDS = {
     "sorted-mixed-lengths": np.repeat([0, 2, 3, 6], [12, 1, 12, 30]),
     "unsorted": np.random.default_rng(4).permutation(np.repeat([0, 2, 3, 6], [12, 1, 12, 30])),
     "single-id": np.full(40, 5),
+    # 2,520 rows over even ids: each run length fills more than one
+    # _sum_runs chunk, and the last chunk of each is partial
+    "unsorted-many-chunks": np.random.default_rng(6).permutation(np.repeat(
+        np.arange(0, 2 * 980, 2), np.repeat([1, 2, 12, 30], [600, 300, 60, 20]))),
 }
 
 
@@ -124,9 +128,12 @@ def test_sum_runs_adds_in_add_at_order(case, columns):
     groups = ad._runs(ids)
     # sorted ids with runs of one length skip the gather
     assert (groups[0][1] is None) == (case in ("sorted-one-length", "single-id"))
-    expected = np.zeros((7, 3))
+    if case == "unsorted-many-chunks":
+        assert all(len(heads) > ad._SUM_CHUNK_ROWS // rows.shape[1] for heads, rows in groups)
+    num_segments = int(ids.max()) + 1
+    expected = np.zeros((num_segments, 3))
     np.add.at(expected, ids, x)
-    assert np.array_equal(ad._sum_runs(x, groups, 7), expected)
+    assert np.array_equal(ad._sum_runs(x, groups, num_segments), expected)
 
 
 def test_recording_is_reproducible():

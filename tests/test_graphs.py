@@ -1,13 +1,17 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from crystalpretrain import graphs
+from crystalpretrain.augment import AugmentConfig, make_views
+from crystalpretrain.datasets import SyntheticConfig, generate_synthetic_dataset
 from crystalpretrain.graphs import (FeatureTable, GraphConfig,
                                     GraphError, IsolatedAtom, MissingTableEntry,
                                     build_graph, frac_to_cart, gaussian_expand,
                                     load_feature_table, neighbor_list)
+from crystalpretrain.rng import RngStream
 from crystalpretrain.structures import CrystalStructure, lattice_from_parameters
 from conftest import random_structure
 from oracles import brute_force_neighbors
@@ -262,12 +266,50 @@ def test_gaussian_expand_properties():
     gen = np.random.default_rng(0)
     d = gen.uniform(-0.5, 9.0, size=200)
     feats = gaussian_expand(d, cfg)
-    # exact zeros only where exp underflows float64 (|d - mu| > ~5.5 A)
+    # exact zeros only where exp falls below the smallest normal float64
+    # (|d - mu| > 5.32 A)
     assert ((feats >= 0.0) & (feats <= 1.0)).all()
     diff = np.abs(d[:, None] - cfg.centers[None, :])
     assert (feats[diff < 5.0] > 0.0).all()
     nearest = diff.argmin(axis=1)
     assert (feats.argmax(axis=1) == nearest).all()
+
+
+def assert_normal_or_zero(feats, distances, cfg):
+    """feats is the unclamped Gaussian formula wherever that gives a normal
+    float64, and exactly 0 where it gives a subnormal or underflows."""
+    diff = distances[:, None] - cfg.centers[None, :]
+    formula = np.exp(-(diff * diff) / (cfg.sigma * cfg.sigma))
+    normal = formula >= sys.float_info.min
+    assert (formula[~normal] > 0.0).any(), "no subnormal to clamp"
+    assert not ((feats > 0.0) & (feats < sys.float_info.min)).any()
+    assert np.array_equal(feats[normal], formula[normal])
+    assert (feats[~normal] == 0.0).all()
+
+
+def test_gaussian_expand_has_no_subnormals():
+    cfg = GraphConfig()
+    # at sigma 0.2 the formula is subnormal for |d - mu| in 5.32-5.46 A and 0
+    # beyond; place distances across that band and past it, on both sides
+    # of a center
+    band = np.linspace(5.25, 5.55, 301)
+    d = np.concatenate([band, -band, cfg.centers[-1] - band,
+                        np.random.default_rng(1).uniform(-6.0, 14.0, size=300)])
+    assert_normal_or_zero(gaussian_expand(d, cfg), d, cfg)
+
+
+def test_make_views_edge_features_have_no_subnormals():
+    cfg = GraphConfig()
+    structures, _ = generate_synthetic_dataset(
+        SyntheticConfig(n_crystals=24, max_atoms=5, seed=3))
+    views = [view for k, s in enumerate(structures)
+             for view in make_views(build_graph(s, cfg), AugmentConfig(),
+                                    (RngStream(3, k, 0), RngStream(3, k, 1)), cfg)]
+    live = ~np.concatenate([v.edge_masked for v in views])
+    feats = np.concatenate([v.edge_features for v in views])
+    assert (feats[~live] == 0.0).all()
+    assert_normal_or_zero(feats[live], np.concatenate([v.distances for v in views])[live],
+                          cfg)
 
 
 def test_build_graph_feature_table_lookup():

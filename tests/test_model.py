@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -282,6 +283,39 @@ def test_gated_conv_gradient_check_every_input():
             return ad.sum_(ad.mul(ad.gated_conv(p[0], p[1], src, dst, *p[2:]), mix))
 
         assert grad_check(f, inputs, h=1e-5, seed=3) < 1e-6, f"blocks={blocks}"
+
+
+def test_gated_conv_ignores_subnormal_edge_features():
+    # graphs.gaussian_expand writes 0 where its formula gives a subnormal;
+    # that leaves the convolution's output and gradients bit for bit as
+    # they were, since no dot product in it sums subnormal terms alone
+    gen = np.random.default_rng(25)
+    n, h, cap, cfg = 90, 16, 12, GraphConfig()
+    src = np.repeat(np.arange(n), cap)
+    dst = gen.integers(0, n, size=len(src))
+    distances = gen.uniform(1.5, 6.5, size=len(src))
+    # |d - mu| inside the subnormal band 5.32-5.46 A for the first and last center
+    planted = gen.choice(len(src), size=200, replace=False)
+    distances[planted[:100]] = gen.uniform(5.33, 5.45, size=100)
+    distances[planted[100:]] = cfg.centers[-1] - gen.uniform(5.33, 5.45, size=100)
+    diff = distances[:, None] - cfg.centers[None, :]
+    edge_feats = np.exp(-(diff * diff) / (cfg.sigma * cfg.sigma))
+    subnormal = (edge_feats > 0.0) & (edge_feats < sys.float_info.min)
+    assert subnormal[:, 0].sum() >= 100 and subnormal[:, -1].sum() >= 100
+    feats = gen.normal(size=(n, h))
+    weights = [gen.uniform(-0.5, 0.5, size=shape)
+               for shape in [(2 * h + cfg.n_centers, h), (1, h)] * 2]
+    mix = Tensor(gen.normal(size=(n, h)))
+
+    def run(e):
+        inputs = [Tensor(x, requires_grad=True) for x in (feats, e, *weights)]
+        with ad.Tape() as tape:
+            out = ad.gated_conv(inputs[0], inputs[1], src, dst, *inputs[2:])
+            grads = ad.backward(tape, ad.sum_(ad.mul(out, mix)))
+        return [out.values] + [grads[t] for t in inputs]
+
+    for with_sub, zeroed in zip(run(edge_feats), run(np.where(subnormal, 0.0, edge_feats))):
+        assert np.array_equal(with_sub, zeroed)
 
 
 @pytest.mark.parametrize("end,bad", [("src", 4), ("src", -5), ("dst", 4), ("dst", -5)])
