@@ -3,7 +3,7 @@ prediction: CIF parsing, periodic crystal graphs, graph augmentations, a
 gated graph-convolution encoder on a small autodiff core, four pretraining
 objectives, and full training loops."""
 
-from .augment import AugmentConfig, atom_mask, edge_mask, gndn, make_views
+from .augment import AugmentConfig, gndn, make_views
 from .autodiff import Tape, Tensor, backward, grad_check
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .datasets import (DatasetManifest, ManifestRecord, SyntheticConfig,
@@ -13,7 +13,7 @@ from .graphs import (CrystalGraph, GraphConfig, build_graph, frac_to_cart,
                      gaussian_expand, neighbor_list)
 from .losses import (LossConfig, barlow_twins, build_class_mask, nt_xent, sup_bt,
                      supcon)
-from .model import ModelConfig, cgcnn_conv, head_forward, init_params, pool, project
+from .model import ModelConfig, head_forward, init_params, project
 from .structures import CrystalStructure, parse_cif, write_cif
 from .train import (Metrics, TrainConfig, adam_step, finetune, load_graph_dataset,
                     pretrain, split_dataset)

@@ -1,18 +1,21 @@
 """Stochastic graph views: atom masking, edge masking, neighbor distance noising.
 
-The three augmentations run sequentially (atom, edge, noise); a zero
-fraction or gndn_delta turns one off. Masking zeroes
-feature contributions without touching topology; distance noising perturbs
-edge lengths only, never the underlying coordinates, and recomputes the
-Gaussian edge features from the noised distances. Each step returns a changed
-copy, or with inplace=True changes and returns the graph it is given; a view
-copies its graph once.
+A view draws its node mask, its edge mask and its distance noise from the
+"atom-mask", "edge-mask" and "gndn" children of its stream; a zero fraction
+or gndn_delta turns one off. Masking zeroes feature contributions without
+touching topology; distance noising perturbs edge lengths only, never the
+underlying coordinates, and the Gaussian edge features are recomputed from
+the noised distances. A view owns its masks, distances and edge features
+and shares every other array with the graph it was made from, so nothing
+may write to a view's arrays.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+
+import numpy as np
 
 from .graphs import CrystalGraph, GraphConfig, gaussian_expand
 from .rng import RngStream
@@ -40,57 +43,49 @@ def mask_count(fraction: float, n: int) -> int:
     return max(1, int(math.floor(fraction * n + 0.5)))
 
 
-def atom_mask(graph: CrystalGraph, fraction: float, rng: RngStream,
-              inplace: bool = False) -> CrystalGraph:
-    """Flag a random subset of nodes; their features are zeroed at encoder input."""
-    out = graph if inplace else graph.copy()
-    k = mask_count(fraction, graph.n_nodes)
+def _masked(already: np.ndarray, fraction: float, rng: RngStream) -> np.ndarray:
+    """A copy of the mask `already` with mask_count(fraction, n) random items set."""
+    out = already.copy()
+    k = mask_count(fraction, len(out))
     if k:
-        chosen = rng.generator().choice(graph.n_nodes, size=k, replace=False)
-        out.node_masked[chosen] = True
+        out[rng.generator().choice(len(out), size=k, replace=False)] = True
     return out
 
 
-def edge_mask(graph: CrystalGraph, fraction: float, rng: RngStream,
-              inplace: bool = False) -> CrystalGraph:
-    """Zero the feature rows of a random subset of edges; topology unchanged."""
-    out = graph if inplace else graph.copy()
-    k = mask_count(fraction, graph.n_edges)
-    if k:
-        chosen = rng.generator().choice(graph.n_edges, size=k, replace=False)
-        out.edge_masked[chosen] = True
-        out.edge_features[chosen] = 0.0
-    return out
+def _noised(distances: np.ndarray, edge_masked: np.ndarray, delta: float,
+            rng: RngStream, graph_cfg: GraphConfig) -> tuple[np.ndarray, np.ndarray]:
+    """distances plus independent uniform noise in [-delta, delta], and their
+    Gaussian features with the edge_masked rows zero."""
+    noised = distances + rng.generator().uniform(-delta, delta, size=len(distances))
+    edge_features = gaussian_expand(noised, graph_cfg)
+    edge_features[edge_masked] = 0.0
+    return noised, edge_features
 
 
 def gndn(graph: CrystalGraph, delta: float, rng: RngStream,
-         graph_cfg: GraphConfig, inplace: bool = False) -> CrystalGraph:
+         graph_cfg: GraphConfig) -> CrystalGraph:
     """Add independent uniform noise in [-delta, delta] to each edge distance.
 
     Edge features are recomputed from the noised distances; feature-masked
     edges stay zero. Coordinates and topology are untouched.
     """
-    out = graph if inplace else graph.copy()
-    eps = rng.generator().uniform(-delta, delta, size=graph.n_edges)
-    out.distances = out.distances + eps
-    out.edge_features = gaussian_expand(out.distances, graph_cfg)
-    out.edge_features[out.edge_masked] = 0.0
-    return out
-
-
-def apply_augmentations(graph: CrystalGraph, cfg: AugmentConfig,
-                        stream: RngStream, graph_cfg: GraphConfig) -> CrystalGraph:
-    """One augmented view: atom mask, then edge mask, then distance noise,
-    applied in place to a single copy of the graph."""
-    out = atom_mask(graph, cfg.atom_mask_fraction, stream.child("atom-mask"))
-    edge_mask(out, cfg.edge_mask_fraction, stream.child("edge-mask"), inplace=True)
-    return gndn(out, cfg.gndn_delta, stream.child("gndn"), graph_cfg, inplace=True)
+    distances, edge_features = _noised(graph.distances, graph.edge_masked, delta, rng,
+                                       graph_cfg)
+    return replace(graph, distances=distances, edge_features=edge_features)
 
 
 def make_views(graph: CrystalGraph, cfg: AugmentConfig,
                streams: tuple[RngStream, RngStream],
                graph_cfg: GraphConfig) -> tuple[CrystalGraph, CrystalGraph]:
-    """Two independent augmented views of one graph."""
-    view1 = apply_augmentations(graph, cfg, streams[0], graph_cfg)
-    view2 = apply_augmentations(graph, cfg, streams[1], graph_cfg)
-    return view1, view2
+    """Two independent augmented views of one graph, one per stream."""
+    views = []
+    for stream in streams:
+        node_masked = _masked(graph.node_masked, cfg.atom_mask_fraction,
+                              stream.child("atom-mask"))
+        edge_masked = _masked(graph.edge_masked, cfg.edge_mask_fraction,
+                              stream.child("edge-mask"))
+        distances, edge_features = _noised(graph.distances, edge_masked, cfg.gndn_delta,
+                                           stream.child("gndn"), graph_cfg)
+        views.append(replace(graph, distances=distances, edge_features=edge_features,
+                             node_masked=node_masked, edge_masked=edge_masked))
+    return views[0], views[1]

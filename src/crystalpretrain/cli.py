@@ -83,7 +83,6 @@ KEY_SPECS = {
     "train.pretrain_eval_fraction": ("train", "pretrain_eval_fraction", float),
     "train.val_fraction": ("train", "val_fraction", float),
     "train.test_fraction": ("train", "test_fraction", float),
-    "train.eval_every_steps": ("train", "eval_every_steps", int),
     "train.n_workers": ("train", "n_workers", int),
     "synth.n_crystals": ("synth", "n_crystals", int),
     "synth.n_classes": ("synth", "n_classes", int),
@@ -221,10 +220,9 @@ def cmd_stats(args, rc: RunConfig) -> int:
     entropy = shannon_entropy(counts)
     out = _out_dir(args)
     stats_path = out / "stats.csv"
-    with open(stats_path, "w", encoding="utf-8") as fh:
-        fh.write("element,count\n")
-        for sym, count in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])):
-            fh.write(f"{sym},{count}\n")
+    rows = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    text = "element,count\n" + "".join(f"{sym},{count}\n" for sym, count in rows)
+    write_atomically(stats_path, text.encode("utf-8"))
     print(f"elements={len(counts)} shannon_entropy_nats={entropy!r}")
     print(f"wrote {stats_path}")
     return 0
@@ -285,6 +283,9 @@ def _prepare(args, rc: RunConfig):
     elif args.command == "finetune" and not path:
         raise ConfigError("finetune needs --checkpoint PATH or --no-pretrain")
     ckpt = load_checkpoint(path) if path else None
+    if args.command == "evaluate" and ckpt.metadata.get("phase") == "pretrain":
+        raise ConfigError(f"{path} is a checkpoint of phase 'pretrain', whose task "
+                          "head is untrained; evaluate a fine-tuned checkpoint")
     phase = "pretrain" if args.command == "pretrain" else "finetune"
     cfg = _reconcile_with_checkpoint(rc, rc.train_config(phase), ckpt,
                                      adopt_split=args.command in ("evaluate", "embed"))
@@ -348,10 +349,7 @@ def cmd_embed(args, rc: RunConfig) -> int:
     width = cfg.model.hidden_dim if finetuned else cfg.model.embed_dim
     header = "id,label," + ",".join(f"e{k}" for k in range(width))
     embed_path = out / "embeddings.csv"
-    with open(embed_path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(row + "\n")
+    write_atomically(embed_path, "\n".join([header, *rows, ""]).encode("utf-8"))
     print(f"wrote {embed_path} ({len(rows)} rows, {width} dims)")
     return 0
 
@@ -370,14 +368,14 @@ def cmd_augment_preview(args, rc: RunConfig) -> int:
     views = make_views(graph, cfg.augment, streams, cfg.graph)
 
     preview_path = out / "preview.csv"
-    with open(preview_path, "w", encoding="utf-8") as fh:
-        fh.write("view,edge,i,j,d,d_noised,masked,feature_l2\n")
-        for v, view in enumerate(views, start=1):
-            for e in range(view.n_edges):
-                l2 = float(np.sqrt((view.edge_features[e] ** 2).sum()))
-                d, dn = float(graph.distances[e]), float(view.distances[e])
-                fh.write(f"{v},{e},{view.src[e]},{view.dst[e]},"
+    lines = ["view,edge,i,j,d,d_noised,masked,feature_l2\n"]
+    for v, view in enumerate(views, start=1):
+        for e in range(view.n_edges):
+            l2 = float(np.sqrt((view.edge_features[e] ** 2).sum()))
+            d, dn = float(graph.distances[e]), float(view.distances[e])
+            lines.append(f"{v},{e},{view.src[e]},{view.dst[e]},"
                          f"{d!r},{dn!r},{int(view.edge_masked[e])},{l2!r}\n")
+    write_atomically(preview_path, "".join(lines).encode("utf-8"))
     print(f"wrote {preview_path}")
     return 0
 

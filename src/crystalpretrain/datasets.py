@@ -186,6 +186,8 @@ class SyntheticConfig:
             raise ValueError("max_atoms must be >= 2")
         if self.target_noise < 0:
             raise ValueError("target_noise must be >= 0")
+        if not 0 <= self.seed < 2 ** 32:
+            raise ValueError("seed must lie in [0, 2**32)")
 
 
 def synthetic_target(mean_z: float, volume: float) -> float:

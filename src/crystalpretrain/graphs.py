@@ -95,7 +95,6 @@ class CrystalGraph:
     images: np.ndarray
     distances: np.ndarray
     edge_features: np.ndarray
-    crystal_id: str = ""
     # (n_nodes, table width) rows of the external feature table, or None
     node_features: np.ndarray | None = None
     node_masked: np.ndarray = field(default=None)
@@ -116,19 +115,8 @@ class CrystalGraph:
         return len(self.src)
 
     def copy(self) -> "CrystalGraph":
-        return CrystalGraph(
-            node_z=self.node_z.copy(),
-            src=self.src.copy(),
-            dst=self.dst.copy(),
-            images=self.images.copy(),
-            distances=self.distances.copy(),
-            edge_features=self.edge_features.copy(),
-            crystal_id=self.crystal_id,
-            node_features=(None if self.node_features is None
-                           else self.node_features.copy()),
-            node_masked=self.node_masked.copy(),
-            edge_masked=self.edge_masked.copy(),
-        )
+        return CrystalGraph(**{name: None if value is None else value.copy()
+                               for name, value in vars(self).items()})
 
 
 def frac_to_cart(structure: CrystalStructure) -> np.ndarray:
@@ -343,6 +331,5 @@ def build_graph(structure: CrystalStructure, cfg: GraphConfig,
         images=images,
         distances=distances,
         edge_features=edge_features,
-        crystal_id=structure.id,
         node_features=node_features,
     )

@@ -99,19 +99,6 @@ def _affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return ad.add(ad.matmul(x, w), b)
 
 
-def cgcnn_conv(node_feats: Tensor, edge_feats: Tensor, src: np.ndarray,
-               dst: np.ndarray, gate_weight: Tensor, gate_bias: Tensor,
-               self_weight: Tensor, self_bias: Tensor) -> Tensor:
-    """One gated residual convolution layer (see autodiff.gated_conv)."""
-    return ad.gated_conv(node_feats, edge_feats, src, dst, gate_weight, gate_bias,
-                         self_weight, self_bias)
-
-
-def pool(node_feats: Tensor, crystal_ids: np.ndarray, n_crystals: int) -> Tensor:
-    """Mean over each crystal's nodes; masked atoms still count."""
-    return ad.segment_mean(node_feats, crystal_ids, n_crystals)
-
-
 def project(params: dict[str, Tensor], crystal_vecs: Tensor) -> Tensor:
     hidden = ad.relu(_affine(crystal_vecs, params["projection.w1"], params["projection.b1"]))
     return _affine(hidden, params["projection.w2"], params["projection.b2"])
@@ -171,10 +158,11 @@ def encode(params: dict[str, Tensor], batch: GraphBatch, cfg: ModelConfig) -> Te
         feats = ad.mul(feats, batch.node_keep[:, None])
     edge_feats = Tensor(batch.edge_features)
     for t in range(cfg.n_conv):
-        feats = cgcnn_conv(feats, edge_feats, batch.src, batch.dst,
-                           params[f"conv{t}.gate_weight"], params[f"conv{t}.gate_bias"],
-                           params[f"conv{t}.self_weight"], params[f"conv{t}.self_bias"])
-    return pool(feats, batch.crystal_ids, batch.n_crystals)
+        feats = ad.gated_conv(feats, edge_feats, batch.src, batch.dst,
+                              params[f"conv{t}.gate_weight"], params[f"conv{t}.gate_bias"],
+                              params[f"conv{t}.self_weight"], params[f"conv{t}.self_bias"])
+    # mean over each crystal's nodes; masked atoms still count
+    return ad.segment_mean(feats, batch.crystal_ids, batch.n_crystals)
 
 
 def embed_graphs(params: dict[str, Tensor], graphs: list[CrystalGraph],

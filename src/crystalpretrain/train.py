@@ -73,7 +73,6 @@ class TrainConfig:
     pretrain_eval_fraction: float = 0.05
     val_fraction: float = 0.10
     test_fraction: float = 0.20
-    eval_every_steps: int = 50
     n_workers: int = 1
 
     def resolved(self, phase: str | None = None) -> "TrainConfig":
@@ -102,6 +101,8 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.lr <= 0:
             raise ValueError("lr must be positive")
+        if not 0 <= self.seed < 2 ** 32:
+            raise ValueError("seed must lie in [0, 2**32)")
         if self.weight_decay < 0:
             raise ValueError("weight_decay must be >= 0")
         if not 0.0 < self.pretrain_eval_fraction < 1.0:
@@ -110,8 +111,6 @@ class TrainConfig:
             raise ValueError("val/test fractions must lie in (0, 1)")
         if self.val_fraction + self.test_fraction >= 1.0:
             raise ValueError("val_fraction + test_fraction must stay below 1")
-        if self.eval_every_steps < 1:
-            raise ValueError("eval_every_steps must be >= 1")
         if self.n_workers < 1:
             raise ValueError("n_workers must be >= 1")
 
@@ -333,9 +332,9 @@ def _train(params: dict[str, Tensor], names, train_idx: np.ndarray, cfg: TrainCo
     """Adam on `names` over cfg.epochs seeded shuffles of `train_idx`.
 
     batch_loss(batch_idx, epoch) builds each batch's loss on the tape; batches
-    shorter than min_batch are skipped. Every cfg.eval_every_steps-th step
-    logs its loss, and end_epoch(epoch, step) runs after each epoch. Returns
-    the number of steps taken.
+    shorter than min_batch are skipped. Every step logs its loss, and
+    end_epoch(epoch, step) runs after each epoch. Returns the number of steps
+    taken.
     """
     state = AdamState.for_params(params, names)
     step = 0
@@ -355,8 +354,7 @@ def _train(params: dict[str, Tensor], names, train_idx: np.ndarray, cfg: TrainCo
                       eps=cfg.adam_eps, weight_decay=cfg.weight_decay,
                       decoupled=cfg.decoupled_weight_decay)
             step += 1
-            if step % cfg.eval_every_steps == 0:
-                log.log_loss(step, epoch, cfg.phase, loss.item())
+            log.log_loss(step, epoch, cfg.phase, loss.item())
         end_epoch(epoch, step)
     return step
 

@@ -358,7 +358,7 @@ def test_criterion_7_pretrain_determinism(tmp_path):
                           model=ModelConfig(hidden_dim=8, n_conv=2, embed_dim=8,
                                             head_hidden=8),
                           batch_size=32, epochs=2, lr=1e-3, seed=5,
-                          eval_every_steps=1, n_workers=workers)
+                          n_workers=workers)
         pretrain(dataset, cfg, out_dir=out)
         return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
 
@@ -425,10 +425,10 @@ def _config9(phase, seed, bt_mode="full"):
         epochs=15 if phase == "pretrain" else 50,
         lr=3e-3 if phase == "pretrain" else 1e-3,
         seed=seed,
-        eval_every_steps=50,
     )
 
 
+@pytest.mark.slow
 def test_criterion_9_directional_pretraining_benefit():
     start = time.monotonic()
     structures, manifest = generate_synthetic_dataset(
@@ -501,7 +501,7 @@ def test_criterion_10_classification():
                       model=ModelConfig(hidden_dim=16, n_conv=2, embed_dim=8,
                                         head_hidden=16),
                       task="binary-classification", batch_size=32, epochs=200,
-                      lr=1e-3, seed=0, eval_every_steps=100)
+                      lr=1e-3, seed=0)
     result = finetune(dataset, None, cfg)
     accuracy = result.metrics.accuracy
     report(10, accuracy >= 0.9,

@@ -1,13 +1,20 @@
 import numpy as np
 import pytest
 
-from crystalpretrain.augment import (AugmentConfig, apply_augmentations, atom_mask,
-                                     edge_mask, gndn, make_views, mask_count)
-from crystalpretrain.graphs import GraphConfig, build_graph, gaussian_expand
+from crystalpretrain.augment import AugmentConfig, gndn, make_views, mask_count
+from crystalpretrain.graphs import FeatureTable, GraphConfig, build_graph, gaussian_expand
 from crystalpretrain.rng import RngStream
 from conftest import random_structure
 
 CFG = GraphConfig(radius=5.0, max_neighbors=12)
+
+
+def atoms_only(fraction):
+    return AugmentConfig(atom_mask_fraction=fraction, edge_mask_fraction=0.0, gndn_delta=0.0)
+
+
+def edges_only(fraction):
+    return AugmentConfig(atom_mask_fraction=0.0, edge_mask_fraction=fraction, gndn_delta=0.0)
 
 
 @pytest.fixture
@@ -38,19 +45,19 @@ def test_mask_count_rule():
 
 
 def test_atom_mask(graph):
-    out = atom_mask(graph, 0.0, RngStream(0))
+    out, _ = make_views(graph, atoms_only(0.0), (RngStream(0), RngStream(1)), CFG)
     assert not out.node_masked.any()
 
     ten = build_graph(random_structure(11, max_atoms=8), CFG)
     k = mask_count(0.1, ten.n_nodes)
-    out = atom_mask(ten, 0.1, RngStream(1))
+    out, _ = make_views(ten, atoms_only(0.1), (RngStream(1), RngStream(2)), CFG)
     assert out.node_masked.sum() == k
     assert topology_equal(out, ten)
     assert np.array_equal(out.edge_features, ten.edge_features)
 
 
 def test_edge_mask(graph):
-    out = edge_mask(graph, 0.1, RngStream(2))
+    out, _ = make_views(graph, edges_only(0.1), (RngStream(2), RngStream(3)), CFG)
     k = mask_count(0.1, graph.n_edges)
     assert out.edge_masked.sum() == k
     masked = np.nonzero(out.edge_masked)[0]
@@ -78,10 +85,18 @@ def test_gndn_bound_and_features():
 
 
 def test_gndn_preserves_masked_edges(graph):
-    masked = edge_mask(graph, 0.2, RngStream(5))
+    masked, _ = make_views(graph, edges_only(0.2), (RngStream(5), RngStream(6)), CFG)
     out = gndn(masked, 0.5, RngStream(6), CFG)
     rows = np.nonzero(out.edge_masked)[0]
-    assert (out.edge_features[rows] == 0.0).all()
+    assert len(rows) and (out.edge_features[rows] == 0.0).all()
+    # masking and noising in one view: the masked rows stay zero as well
+    cfg = AugmentConfig(atom_mask_fraction=0.0, edge_mask_fraction=0.2)
+    view, _ = make_views(graph, cfg, (RngStream(7), RngStream(8)), CFG)
+    assert not np.array_equal(view.distances, graph.distances)
+    assert (view.edge_features[view.edge_masked] == 0.0).all()
+    live = ~view.edge_masked
+    assert np.array_equal(view.edge_features[live],
+                          gaussian_expand(view.distances, CFG)[live])
 
 
 def test_gndn_stream_determinism(graph):
@@ -95,7 +110,7 @@ def test_make_views_disabled_returns_graph(graph):
     cfg = AugmentConfig(atom_mask_fraction=0.0, edge_mask_fraction=0.0, gndn_delta=0.0)
     v1, v2 = make_views(graph, cfg, (RngStream(0, 0), RngStream(0, 1)), CFG)
     assert identical(v1, graph) and identical(v2, graph)
-    assert v1 is not graph  # copies, not aliases
+    assert v1 is not graph and v2 is not v1
 
 
 def test_make_views_differ_with_defaults(graph):
@@ -132,12 +147,38 @@ def test_augment_config_invariants():
 
 
 def test_sequential_order_atom_edge_noise(graph):
-    # the composed pipeline equals the three steps applied by hand in order
-    cfg = AugmentConfig()
-    stream = RngStream(9, "augment", 1, 4, 0)
-    composed = apply_augmentations(graph, cfg, stream, CFG)
-    manual = gndn(edge_mask(atom_mask(graph, cfg.atom_mask_fraction,
-                                      stream.child("atom-mask")),
-                            cfg.edge_mask_fraction, stream.child("edge-mask")),
-                  cfg.gndn_delta, stream.child("gndn"), CFG)
-    assert identical(composed, manual)
+    # each view equals masks and noise drawn by hand from its stream's
+    # "atom-mask", "edge-mask" and "gndn" children; masked rows are zeroed
+    # after the features are expanded from the noised distances
+    cfg = AugmentConfig(atom_mask_fraction=0.3, edge_mask_fraction=0.3, gndn_delta=0.3)
+    streams = (RngStream(9, "augment", 1, 4, 0), RngStream(9, "augment", 1, 4, 1))
+    views = make_views(graph, cfg, streams, CFG)
+    n, m = graph.n_nodes, graph.n_edges
+    for view, stream in zip(views, streams):
+        nodes = stream.child("atom-mask").generator().choice(
+            n, size=mask_count(0.3, n), replace=False)
+        edges = stream.child("edge-mask").generator().choice(
+            m, size=mask_count(0.3, m), replace=False)
+        eps = stream.child("gndn").generator().uniform(-0.3, 0.3, size=m)
+        distances = graph.distances + eps
+        features = gaussian_expand(distances, CFG)
+        features[edges] = 0.0
+        assert np.array_equal(view.node_masked, np.isin(np.arange(n), nodes))
+        assert np.array_equal(view.edge_masked, np.isin(np.arange(m), edges))
+        assert np.array_equal(view.distances, distances)
+        assert np.array_equal(view.edge_features, features)
+    assert not identical(*views)
+
+
+def test_views_share_topology_with_graph():
+    table = {z: np.full(3, float(z)) for z in range(1, 119)}
+    g = build_graph(random_structure(13, max_atoms=8), CFG, FeatureTable(table, 3))
+    for array in vars(g).values():
+        array.flags.writeable = False
+    before = g.copy()
+    for view in make_views(g, AugmentConfig(), (RngStream(0), RngStream(1)), CFG):
+        for name in ("node_z", "src", "dst", "images", "node_features"):
+            assert np.shares_memory(getattr(view, name), getattr(g, name)), name
+        for name in ("node_masked", "edge_masked", "distances", "edge_features"):
+            assert not np.shares_memory(getattr(view, name), getattr(g, name)), name
+    assert identical(g, before) and topology_equal(g, before)

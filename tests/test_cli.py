@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import struct
 from dataclasses import fields
 
@@ -22,7 +23,7 @@ FAST_TRAIN = [
     "--set", "model.hidden_dim=6", "--set", "model.n_conv=1",
     "--set", "model.embed_dim=4", "--set", "model.head_hidden=4",
     "--set", "train.batch_size=8", "--set", "train.epochs=1",
-    "--set", "train.eval_every_steps=1", "--set", "graph.radius=6.0",
+    "--set", "graph.radius=6.0",
     "--set", "train.pretrain_eval_fraction=0.1",
 ]
 
@@ -95,7 +96,8 @@ def test_unknown_key_exits_2(synth_dir, capsys):
 @pytest.mark.parametrize("key", ["graph.node_feature_mode=external-table",
                                  "augment.enable_atom_mask=false",
                                  "augment.enable_edge_mask=false",
-                                 "augment.enable_gndn=false", "loss.alpha=0.25"])
+                                 "augment.enable_gndn=false", "loss.alpha=0.25",
+                                 "train.eval_every_steps=1"])
 def test_removed_key_exits_2(synth_dir, tmp_path, capsys, key):
     assert run(["--out", tmp_path / "out", "--set", key, "pretrain",
                 synth_dir / "manifest.csv"]) == 2
@@ -380,6 +382,54 @@ def test_embed_command(trained, synth_dir, tmp_path):
     lines = (pooled / "embeddings.csv").read_text().strip().splitlines()
     assert len(lines[0].split(",")) == 2 + 6  # hidden_dim=6 in FAST_TRAIN
     assert len(lines) - 1 == 4
+
+
+def test_evaluate_refuses_a_pretraining_checkpoint(trained, synth_dir, tmp_path, capsys):
+    manifest = synth_dir / "manifest.csv"
+    # a pretraining checkpoint's task head is its random initial one
+    assert run(["--out", tmp_path / "pre", "evaluate", manifest,
+                "--checkpoint", trained / "pre" / "final.ckpt"]) == 2
+    assert "phase 'pretrain'" in capsys.readouterr().err
+    assert not (tmp_path / "pre").exists()
+
+    # a checkpoint that records no phase is scored as before
+    ckpt = load_checkpoint(trained / "ft" / "best.ckpt")
+    del ckpt.metadata["phase"]
+    save_checkpoint(tmp_path / "no-phase.ckpt", ckpt)
+    for name, path in (("ft", trained / "ft" / "best.ckpt"),
+                       ("no-phase", tmp_path / "no-phase.ckpt")):
+        assert run(["--out", tmp_path / name, "evaluate", manifest,
+                    "--checkpoint", path]) == 0
+    assert (tmp_path / "ft" / "metrics.csv").read_bytes() == \
+        (tmp_path / "no-phase" / "metrics.csv").read_bytes()
+
+
+def test_failed_embed_keeps_previous_file(trained, synth_dir, tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    args = ["--out", out, "embed", synth_dir / "manifest.csv", "--checkpoint"]
+    assert run([*args, trained / "pre" / "final.ckpt"]) == 0
+    before = (out / "embeddings.csv").read_bytes()
+
+    def fail(fd):  # the data is written, the sync fails
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(os, "fsync", fail)
+    assert run([*args, trained / "ft" / "best.ckpt"]) == 3
+    assert (out / "embeddings.csv").read_bytes() == before
+    assert [p.name for p in out.iterdir()] == ["embeddings.csv"]
+    monkeypatch.undo()
+    assert run([*args, trained / "ft" / "best.ckpt"]) == 0
+    assert (out / "embeddings.csv").read_bytes() != before
+
+
+@pytest.mark.parametrize("seed,code", [(-1, 2), (2 ** 32, 2), (0, 0), (2 ** 32 - 1, 0)])
+def test_seed_outside_32_bits_exits_2(synth_dir, tmp_path, seed, code):
+    assert run(["--out", tmp_path / "synth", "--seed", seed,
+                "--set", "synth.n_crystals=4", "synth"]) == code
+    if code:
+        assert run(["--out", tmp_path / "pre", "--seed", seed, *FAST_TRAIN,
+                    "pretrain", synth_dir / "manifest.csv"]) == code
+        assert not (tmp_path / "synth").exists() and not (tmp_path / "pre").exists()
 
 
 def test_evaluate_uses_the_checkpoint_split(synth_dir, tmp_path):

@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 
 from crystalpretrain import autodiff as ad
-from crystalpretrain.augment import AugmentConfig, apply_augmentations, make_views
+from crystalpretrain.augment import AugmentConfig, make_views
 from crystalpretrain.autodiff import EmptySegment, Tensor, grad_check
 from crystalpretrain.graphs import GraphConfig, IsolatedAtom, build_graph
 from crystalpretrain.losses import LossConfig, compute_loss
-from crystalpretrain.model import (ModelConfig, build_batch, cgcnn_conv, encode,
-                                   embed_graphs, head_forward, init_params,
-                                   param_spec, pool, project)
+from crystalpretrain.model import (ModelConfig, build_batch, encode, embed_graphs,
+                                   head_forward, init_params, param_spec, project)
 from crystalpretrain.rng import RngStream
 from conftest import random_structure
 from oracles import gated_conv_loop, pooled_means
@@ -62,9 +61,9 @@ def test_conv_zero_params_closed_form():
     src = np.array([0, 0, 0, 1, 1])
     dst = np.array([1, 2, 1, 0, 2])
     zeros = lambda shape: Tensor(np.zeros(shape))
-    out = cgcnn_conv(feats, edge_feats, src, dst,
-                     zeros((2 * h + k, h)), zeros((1, h)),
-                     zeros((2 * h + k, h)), zeros((1, h)))
+    out = ad.gated_conv(feats, edge_feats, src, dst,
+                        zeros((2 * h + k, h)), zeros((1, h)),
+                        zeros((2 * h + k, h)), zeros((1, h)))
     per_edge = 0.5 * math.log(2.0)
     expected = feats.values + np.array([[3.0], [2.0], [0.0]]) * per_edge
     assert np.allclose(out.values, expected, atol=1e-12)
@@ -74,21 +73,21 @@ def test_conv_zero_params_closed_form():
 
 def test_pool_examples():
     v = Tensor([[1.0, 0.0], [0.0, 1.0]])
-    out = pool(v, np.array([0, 0]), 1)
+    out = ad.segment_mean(v, np.array([0, 0]), 1)
     assert out.values.tolist() == [[0.5, 0.5]]
 
     same = Tensor([[2.0, 3.0], [2.0, 3.0], [2.0, 3.0]])
-    assert pool(same, np.array([0, 0, 0]), 1).values.tolist() == [[2.0, 3.0]]
+    assert ad.segment_mean(same, np.array([0, 0, 0]), 1).values.tolist() == [[2.0, 3.0]]
 
     with pytest.raises(EmptySegment):
-        pool(v, np.array([0, 0]), 2)
+        ad.segment_mean(v, np.array([0, 0]), 2)
 
 
 def test_pool_matches_scalar_oracle():
     gen = np.random.default_rng(5)
     feats = gen.normal(size=(7, 3))
     ids = np.array([0, 0, 0, 1, 1, 1, 1])
-    out = pool(Tensor(feats), ids, 2)
+    out = ad.segment_mean(Tensor(feats), ids, 2)
     expected = pooled_means(feats.tolist(), ids.tolist(), 2)
     assert np.allclose(out.values, expected, atol=1e-12)
 
@@ -197,9 +196,9 @@ def test_conv_gradient_check():
     def f(p):
         named = dict(zip(order, p))
         feats = ad.gather_rows(named["atom_embedding"], batch.node_z - 1)
-        out = cgcnn_conv(feats, Tensor(batch.edge_features), batch.src, batch.dst,
-                         named["conv0.gate_weight"], named["conv0.gate_bias"],
-                         named["conv0.self_weight"], named["conv0.self_bias"])
+        out = ad.gated_conv(feats, Tensor(batch.edge_features), batch.src, batch.dst,
+                            named["conv0.gate_weight"], named["conv0.gate_bias"],
+                            named["conv0.self_weight"], named["conv0.self_bias"])
         mix = Tensor(np.random.default_rng(11).normal(size=out.shape))
         return ad.sum_(ad.mul(out, mix))
 
@@ -231,7 +230,7 @@ def conv_case(seed, drop_anchor=False, shuffle=False, blocks=False):
     gen = np.random.default_rng(seed)
     strong = AugmentConfig(atom_mask_fraction=0.3, edge_mask_fraction=0.3, gndn_delta=0.3)
     graphs = block_graphs() if blocks else toy_graphs(3, seed=seed, cfg=GCHECK)
-    views = [apply_augmentations(g, strong, RngStream(seed, k), GCHECK)
+    views = [make_views(g, strong, (RngStream(seed, k), RngStream(seed, k, 1)), GCHECK)[0]
              for k, g in enumerate(graphs)]
     batch = build_batch(views)
     n, h, k = len(batch.node_z), 4, GCHECK.n_centers

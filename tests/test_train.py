@@ -38,7 +38,6 @@ def small_config(**kwargs) -> TrainConfig:
         batch_size=32,
         epochs=2,
         lr=1e-3,
-        eval_every_steps=1,
         seed=0,
     )
     defaults.update(kwargs)
@@ -228,6 +227,15 @@ def test_pretrain_bitwise_deterministic_across_workers():
     assert outs[0] == outs[1] == outs[2]
 
 
+def test_pretrain_logs_every_step():
+    dataset = synthetic_graph_dataset(40, seed=6)
+    n_train = len(split_dataset(dataset.records, "pretrain", 0)["train"])
+    assert n_train % 8 > 1  # the short last batch is a step too
+    result = pretrain(dataset, small_config(batch_size=8))
+    steps = [r[0] for r in result.log.rows if r[3] != ""]
+    assert steps == list(range(1, 2 * math.ceil(n_train / 8) + 1))
+
+
 def test_pretrain_requires_labels_for_supervised_losses():
     dataset = synthetic_graph_dataset(32, seed=3)
     dataset.records[5].surrogate_label = None
@@ -366,6 +374,20 @@ def test_train_config_defaults_by_phase():
         TrainConfig(batch_size=1).resolved("pretrain")
     with pytest.raises(ValueError):
         TrainConfig(val_fraction=0.5, test_fraction=0.6).resolved("finetune")
+
+
+@pytest.mark.parametrize("seed,ok", [(-1, False), (2 ** 32, False), (0, True),
+                                     (2 ** 32 - 1, True)])
+def test_seed_must_fit_32_bits(seed, ok):
+    # stream keys keep 32 bits of each part: a wider seed would alias another
+    if ok:
+        TrainConfig(seed=seed).resolved("pretrain")
+        SyntheticConfig(n_crystals=4, seed=seed)
+        return
+    with pytest.raises(ValueError, match="seed"):
+        TrainConfig(seed=seed).resolved("pretrain")
+    with pytest.raises(ValueError, match="seed"):
+        SyntheticConfig(n_crystals=4, seed=seed)
 
 
 def test_train_config_rejects_unknown_task():
