@@ -2,9 +2,10 @@
 
 Commands: synth, stats, pretrain, finetune, evaluate, embed, augment-preview.
 Configuration is a flat key=value file (``#`` comments) plus repeatable
-``--set key=value`` overrides; every knob is addressable as a dotted key
-(e.g. ``loss.kind``, ``augment.gndn_delta``). Unknown keys are rejected and
-the whole configuration is validated before any work starts.
+``--set key=value`` overrides. Each scalar field of the config classes in
+SECTIONS is the key ``section.field`` (e.g. ``augment.gndn_delta``; ``lam``
+is spelled ``loss.lambda``), parsed by its annotation. Unknown keys are
+rejected and the whole configuration is validated before any work starts.
 
 Exit codes: 0 success, 2 configuration/validation error, 3 data/IO error,
 4 numerical failure.
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,9 +32,8 @@ from .losses import LossConfig
 from .model import ModelConfig, build_batch, encode, project
 from .rng import RngStream
 from .structures import StructureError
-from .train import (EmptySplit, Metrics, TrainConfig, TrainError,
-                    _finetune_splits, evaluate_checkpoint, finetune,
-                    load_graph_dataset, pretrain)
+from .train import (Metrics, TrainConfig, TrainError, _finetune_splits,
+                    evaluate_checkpoint, finetune, load_graph_dataset, pretrain)
 
 
 class ConfigError(Exception):
@@ -49,46 +49,31 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-# dotted key -> (section, dataclass field, parser)
-KEY_SPECS = {
-    "graph.radius": ("graph", "radius", float),
-    "graph.max_neighbors": ("graph", "max_neighbors", int),
-    "graph.mu_min": ("graph", "mu_min", float),
-    "graph.mu_max": ("graph", "mu_max", float),
-    "graph.mu_step": ("graph", "mu_step", float),
-    "graph.sigma": ("graph", "sigma", float),
-    "graph.feature_table": ("graph", "feature_table", str),
-    "augment.atom_mask_fraction": ("augment", "atom_mask_fraction", float),
-    "augment.edge_mask_fraction": ("augment", "edge_mask_fraction", float),
-    "augment.gndn_delta": ("augment", "gndn_delta", float),
-    "loss.kind": ("loss", "kind", str),
-    "loss.temperature": ("loss", "temperature", float),
-    "loss.lambda": ("loss", "lam", float),
-    "loss.bt_mode": ("loss", "bt_mode", str),
-    "loss.sbt_scale": ("loss", "sbt_scale", str),
-    "model.hidden_dim": ("model", "hidden_dim", int),
-    "model.n_conv": ("model", "n_conv", int),
-    "model.embed_dim": ("model", "embed_dim", int),
-    "model.head_hidden": ("model", "head_hidden", int),
-    "train.task": ("train", "task", str),
-    "train.batch_size": ("train", "batch_size", int),
-    "train.epochs": ("train", "epochs", int),
-    "train.lr": ("train", "lr", float),
-    "train.weight_decay": ("train", "weight_decay", float),
-    "train.adam_beta1": ("train", "adam_beta1", float),
-    "train.adam_beta2": ("train", "adam_beta2", float),
-    "train.adam_eps": ("train", "adam_eps", float),
-    "train.decoupled_weight_decay": ("train", "decoupled_weight_decay", _parse_bool),
-    "train.seed": ("train", "seed", int),
-    "train.pretrain_eval_fraction": ("train", "pretrain_eval_fraction", float),
-    "train.val_fraction": ("train", "val_fraction", float),
-    "train.test_fraction": ("train", "test_fraction", float),
-    "train.n_workers": ("train", "n_workers", int),
-    "synth.n_crystals": ("synth", "n_crystals", int),
-    "synth.n_classes": ("synth", "n_classes", int),
-    "synth.max_atoms": ("synth", "max_atoms", int),
-    "synth.target_noise": ("synth", "target_noise", float),
-}
+SECTIONS = {"graph": GraphConfig, "augment": AugmentConfig, "loss": LossConfig,
+            "model": ModelConfig, "train": TrainConfig, "synth": SyntheticConfig}
+_PARSERS = {"int": int, "float": float, "str": str, "bool": _parse_bool}
+_SPELLED = {("loss", "lam"): "lambda"}  # ``lambda`` is a Python keyword
+# the command sets these itself: the phase, and the synth seed from train.seed
+_UNKEYED = {("train", "phase"), ("synth", "seed")}
+
+
+def _key_specs() -> dict[str, tuple]:
+    """dotted key -> (section, dataclass field, parser), one key per scalar
+    field of the config classes, in declaration order."""
+    specs = {}
+    for section, cls in SECTIONS.items():
+        for f in fields(cls):
+            if f.name in SECTIONS or (section, f.name) in _UNKEYED:
+                continue  # TrainConfig's sub-configs have their own sections
+            parser = _PARSERS.get(f.type.removesuffix(" | None"))
+            if parser is None:
+                raise TypeError(f"{cls.__name__}.{f.name}: no parser for {f.type!r}")
+            specs[f"{section}.{_SPELLED.get((section, f.name), f.name)}"] = \
+                (section, f.name, parser)
+    return specs
+
+
+KEY_SPECS = _key_specs()
 
 
 def read_config_file(path) -> dict[str, str]:
@@ -109,9 +94,7 @@ class RunConfig:
     """Parsed, validated flat configuration."""
 
     def __init__(self, pairs: dict[str, str]):
-        self.fields: dict[str, dict] = {s: {} for s in
-                                        ("graph", "augment", "loss", "model",
-                                         "train", "synth")}
+        self.fields: dict[str, dict] = {s: {} for s in SECTIONS}
         self.provided = set(pairs)
         for key, text in pairs.items():
             if key not in KEY_SPECS:
@@ -122,49 +105,20 @@ class RunConfig:
             except ValueError as exc:
                 raise ConfigError(f"bad value for {key}: {exc}") from None
 
-    def _build(self, section, cls):
+    def build(self, section: str, **given):
+        """The section's config class from its keys plus the given fields."""
         try:
-            return cls(**self.fields[section])
+            return SECTIONS[section](**self.fields[section], **given)
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"invalid {section} configuration: {exc}") from None
 
-    def graph_config(self) -> GraphConfig:
-        return self._build("graph", GraphConfig)
-
-    def augment_config(self) -> AugmentConfig:
-        return self._build("augment", AugmentConfig)
-
-    def loss_config(self) -> LossConfig:
-        return self._build("loss", LossConfig)
-
-    def model_config(self) -> ModelConfig:
-        return self._build("model", ModelConfig)
-
-    def synth_config(self, seed: int) -> SyntheticConfig:
-        kwargs = dict(self.fields["synth"])
-        kwargs.setdefault("n_crystals", 64)
-        kwargs["seed"] = seed
-        try:
-            return SyntheticConfig(**kwargs)
-        except ValueError as exc:
-            raise ConfigError(f"invalid synth configuration: {exc}") from None
-
     def train_config(self, phase: str) -> TrainConfig:
-        cfg = TrainConfig(
-            loss=self.loss_config(),
-            augment=self.augment_config(),
-            graph=self.graph_config(),
-            model=self.model_config(),
-            **self.fields["train"],
-        )
+        cfg = self.build("train", **{s: self.build(s) for s in
+                                     ("loss", "augment", "graph", "model")})
         try:
             return cfg.resolved(phase)
         except ValueError as exc:
             raise ConfigError(f"invalid train configuration: {exc}") from None
-
-    @property
-    def seed(self) -> int:
-        return self.fields["train"].get("seed", 0)
 
 
 def _gather_run_config(args) -> RunConfig:
@@ -205,7 +159,7 @@ def _write_metrics(out: Path, metrics: Metrics) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_synth(args, rc: RunConfig) -> int:
-    cfg = rc.synth_config(rc.seed)
+    cfg = rc.build("synth", seed=rc.fields["train"].get("seed", 0))
     out = _out_dir(args)
     structures, manifest = generate_synthetic_dataset(cfg)
     manifest_path = write_dataset(structures, manifest, out)
@@ -234,7 +188,8 @@ def _reconcile_with_checkpoint(rc: RunConfig, cfg: TrainConfig, ckpt,
 
     With adopt_split, also adopt the seed and val/test fractions it was
     trained with, so that scoring sees the same test split; an explicit
-    value that differs is refused, like a conflicting model setting.
+    value that differs is refused, like a conflicting model setting, and so
+    is an explicit train.task other than the one the checkpoint stores.
     """
     if ckpt is None:
         return cfg
@@ -267,6 +222,10 @@ def _reconcile_with_checkpoint(rc: RunConfig, cfg: TrainConfig, ckpt,
         elif getattr(cfg, attr) != stored:
             raise ConfigError(f"train.{attr}={getattr(cfg, attr)!r} conflicts with "
                               f"the checkpoint's {stored!r}, which fixed its test split")
+    stored_task = ckpt.metadata.get("task")
+    if adopt_split and "train.task" in rc.provided and stored_task not in (None, cfg.task):
+        raise ConfigError(f"train.task={cfg.task!r} conflicts with the checkpoint's "
+                          f"{stored_task!r}, the task its head was trained for")
     return cfg
 
 
@@ -444,7 +403,7 @@ def main(argv=None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
     except (StructureError, ManifestError, GraphError, TrainError, CheckpointError,
-            PlacementFailure, EmptySplit, OSError) as exc:
+            PlacementFailure, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
 

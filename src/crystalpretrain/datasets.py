@@ -171,7 +171,7 @@ _PLACEMENT_TRIES = 200
 
 @dataclass
 class SyntheticConfig:
-    n_crystals: int
+    n_crystals: int = 64
     n_classes: int = 2
     max_atoms: int = 6
     target_noise: float = 0.05

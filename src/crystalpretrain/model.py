@@ -163,9 +163,3 @@ def encode(params: dict[str, Tensor], batch: GraphBatch, cfg: ModelConfig) -> Te
                               params[f"conv{t}.self_weight"], params[f"conv{t}.self_bias"])
     # mean over each crystal's nodes; masked atoms still count
     return ad.segment_mean(feats, batch.crystal_ids, batch.n_crystals)
-
-
-def embed_graphs(params: dict[str, Tensor], graphs: list[CrystalGraph],
-                 cfg: ModelConfig) -> Tensor:
-    """Graphs -> projected embeddings (len(graphs), embed_dim)."""
-    return project(params, encode(params, build_batch(graphs), cfg))

@@ -22,9 +22,9 @@ from .checkpoint import (Checkpoint, checkpoint_from_params, save_checkpoint,
 from .datasets import DatasetManifest, ManifestRecord, load_structures
 from .graphs import FeatureTable, GraphConfig, build_graph, load_feature_table
 from .losses import LossConfig, compute_loss
-from .model import (ModelConfig, build_batch, embed_graphs, encode,
-                    encoder_param_names, finetune_param_names, head_forward,
-                    init_params, pretrain_param_names)
+from .model import (ModelConfig, build_batch, encode, encoder_param_names,
+                    finetune_param_names, head_forward, init_params,
+                    pretrain_param_names, project)
 from .rng import RngStream
 
 PHASES = ("pretrain", "finetune")
@@ -310,13 +310,13 @@ def _init_params(cfg: TrainConfig, dataset: GraphDataset) -> dict[str, Tensor]:
 
 
 def _metadata(cfg: TrainConfig, dataset: GraphDataset, epoch: int, next_epoch: int,
-              label_name: str = "surrogate_label", **extra) -> dict:
+              **extra) -> dict:
     table = dataset.feature_table
     return {
         "phase": cfg.phase,
         "epoch": epoch,
         "loss_kind": cfg.loss.kind,
-        "surrogate_label_name": label_name,
+        "surrogate_label_name": "surrogate_label",
         "seed": cfg.seed,
         "rng_cursor": {"seed": cfg.seed, "next_epoch": next_epoch},
         "graph_config": asdict(cfg.graph),
@@ -388,8 +388,7 @@ def _batch_labels(dataset: GraphDataset, indices, required: bool):
     return np.array(labels, dtype=np.int64)
 
 
-def pretrain(dataset: GraphDataset, cfg: TrainConfig, out_dir=None,
-             label_name: str = "surrogate_label") -> TrainResult:
+def pretrain(dataset: GraphDataset, cfg: TrainConfig, out_dir=None) -> TrainResult:
     """Contrastive pretraining over two augmented views per crystal.
 
     Both views pass through the shared-weight encoder and projection head;
@@ -416,13 +415,14 @@ def pretrain(dataset: GraphDataset, cfg: TrainConfig, out_dir=None,
 
     def views_loss(indices, epoch, tag="augment") -> Tensor:
         pairs = _view_pairs(dataset, indices, cfg, epoch, tag)
-        z = embed_graphs(params, [view for pair in pairs for view in pair], cfg.model)
+        batch = build_batch([view for pair in pairs for view in pair])
+        z = project(params, encode(params, batch, cfg.model))
         return compute_loss(cfg.loss, z,
                             _batch_labels(dataset, indices, cfg.loss.needs_labels))
 
     def checkpoint(epoch: int) -> Checkpoint:
         return checkpoint_from_params(
-            params, cfg.model, _metadata(cfg, dataset, epoch, epoch, label_name))
+            params, cfg.model, _metadata(cfg, dataset, epoch, epoch))
 
     def end_epoch(epoch: int, step: int):
         eval_loss = views_loss(eval_idx, epoch, tag="eval-augment").item()

@@ -3,6 +3,7 @@ import math
 import os
 import struct
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -67,6 +68,12 @@ def test_synth_four_crystals(tmp_path):
     assert (tmp_path / "manifest.csv").exists()
 
 
+def test_synth_defaults_to_64_crystals(tmp_path):
+    assert run(["--out", tmp_path, "--set", "synth.max_atoms=2", "synth"]) == 0
+    assert len(list((tmp_path / "crystals").glob("*.cif"))) == 64
+    assert len(load_manifest(tmp_path / "manifest.csv").records) == 64
+
+
 def test_synth_byte_deterministic(tmp_path, synth_dir):
     again = tmp_path / "again"
     assert run(["--out", again, "--seed", "3", *SYNTH, "synth"]) == 0
@@ -121,10 +128,32 @@ def test_key_specs_match_config_fields():
     assert unkeyed == {("train", "phase"), ("synth", "seed")}
 
 
+@pytest.mark.parametrize("key,text,value", [
+    ("train.decoupled_weight_decay", "on", True),  # bool
+    ("train.decoupled_weight_decay", "off", False),
+    ("train.batch_size", "32", 32),  # int | None
+    ("graph.feature_table", "table.csv", "table.csv"),  # str | None
+])
+def test_each_annotation_kind_parses(key, text, value):
+    cfg = RunConfig({key: text}).train_config("pretrain")
+    section, attr, _ = KEY_SPECS[key]
+    parsed = getattr(cfg if section == "train" else getattr(cfg, section), attr)
+    assert parsed == value and type(parsed) is type(value)
+
+
+def test_readme_keys_are_keys():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("Commonly used keys", 1)[1].split("```")[1]
+    listed = [line.split()[0] for line in block.splitlines() if line.strip()]
+    assert listed and set(listed) <= set(KEY_SPECS)
+
+
 def test_invalid_value_exits_2(synth_dir):
     assert run(["--set", "loss.kind=simclr", "pretrain",
                 synth_dir / "manifest.csv"]) == 2
     assert run(["--set", "train.batch_size=one", "pretrain",
+                synth_dir / "manifest.csv"]) == 2
+    assert run(["--set", "train.decoupled_weight_decay=maybe", "pretrain",
                 synth_dir / "manifest.csv"]) == 2
 
 
@@ -273,7 +302,7 @@ train.batch_size = 128
     assert pairs == {"loss.kind": "sup-bt", "loss.lambda": "0.0051",
                      "train.batch_size": "128"}
     rc = RunConfig(pairs)
-    assert rc.loss_config().lam == 0.0051
+    assert rc.train_config("pretrain").loss.lam == 0.0051
     assert rc.train_config("pretrain").batch_size == 128
 
 
@@ -447,6 +476,16 @@ def test_evaluate_uses_the_checkpoint_split(synth_dir, tmp_path):
                 "evaluate", manifest, "--checkpoint", ckpt]) == 2
     assert run(["--out", tmp_path / "frac", "--set", "train.test_fraction=0.3",
                 "embed", manifest, "--checkpoint", ckpt]) == 2
+
+
+def test_evaluate_refuses_a_conflicting_task(trained, synth_dir, tmp_path, capsys):
+    args = ["evaluate", synth_dir / "manifest.csv", "--checkpoint", trained / "ft" / "best.ckpt"]
+    assert run(["--out", tmp_path / "cls", "--set", "train.task=binary-classification",
+                *args]) == 2
+    assert "the task its head was trained for" in capsys.readouterr().err
+    assert not (tmp_path / "cls").exists()
+    assert run(["--out", tmp_path / "reg", "--set", "train.task=regression", *args]) == 0
+    assert "test_mae," in (tmp_path / "reg" / "metrics.csv").read_text()
 
 
 def test_augment_preview(synth_dir, tmp_path):

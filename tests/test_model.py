@@ -10,8 +10,8 @@ from crystalpretrain.augment import AugmentConfig, make_views
 from crystalpretrain.autodiff import EmptySegment, Tensor, grad_check
 from crystalpretrain.graphs import GraphConfig, IsolatedAtom, build_graph
 from crystalpretrain.losses import LossConfig, compute_loss
-from crystalpretrain.model import (ModelConfig, build_batch, encode, embed_graphs,
-                                   head_forward, init_params, param_spec, project)
+from crystalpretrain.model import (ModelConfig, build_batch, encode, head_forward,
+                                   init_params, param_spec, project)
 from crystalpretrain.rng import RngStream
 from conftest import random_structure
 from oracles import gated_conv_loop, pooled_means
@@ -183,7 +183,7 @@ def test_identical_views_identical_embeddings():
     no_aug = AugmentConfig(atom_mask_fraction=0.0, edge_mask_fraction=0.0, gndn_delta=0.0)
     v1, v2 = make_views(g, no_aug, (RngStream(0, 0), RngStream(0, 1)), GCFG)
     params = init_params(CFG, seed=4)
-    z = embed_graphs(params, [v1, v2], CFG)
+    z = project(params, encode(params, build_batch([v1, v2]), CFG))
     assert np.array_equal(z.values[0], z.values[1])
 
 
@@ -351,7 +351,7 @@ def test_full_forward_gradient_check():
 
     def f(p):
         named = dict(zip(names, p))
-        z = embed_graphs(named, graphs, small)
+        z = project(named, encode(named, build_batch(graphs), small))
         mix = Tensor(np.random.default_rng(13).normal(size=z.shape))
         return ad.sum_(ad.mul(z, mix))
 
