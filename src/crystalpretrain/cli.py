@@ -184,48 +184,46 @@ def cmd_stats(args, rc: RunConfig) -> int:
 
 def _reconcile_with_checkpoint(rc: RunConfig, cfg: TrainConfig, ckpt,
                                adopt_split: bool = False) -> TrainConfig:
-    """Adopt the checkpoint's model/graph settings unless explicitly overridden.
-
-    With adopt_split, also adopt the seed and val/test fractions it was
-    trained with, so that scoring sees the same test split; an explicit
-    value that differs is refused, like a conflicting model setting, and so
-    is an explicit train.task other than the one the checkpoint stores.
+    """Adopt, field by field, each setting the checkpoint records that was
+    not given explicitly: its model.* and graph.* fields and, with
+    adopt_split, the train.seed, val/test fractions and task that fixed its
+    test split and head. An explicit value that differs is refused for
+    model.* and train.* and used as given for graph.*. A stored value that
+    no config accepts is a CheckpointError.
     """
     if ckpt is None:
         return cfg
-    if not any(k.startswith("model.") for k in rc.provided):
-        cfg = replace(cfg, model=ckpt.model_config)
-    elif asdict(cfg.model) != asdict(ckpt.model_config):
-        raise ConfigError("model configuration conflicts with the checkpoint; "
-                          "drop the model.* overrides or retrain")
-    stored_graph = dict(ckpt.metadata.get("graph_config") or {})
+    graph = dict(ckpt.metadata.get("graph_config") or {})
     # older checkpoints also stored a node_feature_mode, under which
     # learned-embedding ignored any feature_table
-    if stored_graph.pop("node_feature_mode", None) == "learned-embedding":
-        stored_graph["feature_table"] = None
-    if stored_graph and not any(k.startswith("graph.") for k in rc.provided):
-        try:
-            graph = GraphConfig(**stored_graph)
-        except (TypeError, ValueError) as exc:  # an unknown key, or a value out of range
-            raise CheckpointError(f"checkpoint graph_config is invalid: {exc}") from None
-        cfg = replace(cfg, graph=graph)
+    if graph.pop("node_feature_mode", None) == "learned-embedding":
+        graph["feature_table"] = None
+    split = ("seed", "val_fraction", "test_fraction", "task") if adopt_split else ()
+    stored = {"model": asdict(ckpt.model_config), "graph": graph,
+              "train": {attr: ckpt.metadata[attr] for attr in split
+                        if ckpt.metadata.get(attr) is not None}}
+    explicit = {KEY_SPECS[key][:2] for key in rc.provided}
+    adopted = {section: {} for section in stored}
+    for section, values in stored.items():
+        current = cfg if section == "train" else getattr(cfg, section)
+        for attr, value in values.items():
+            if (section, attr) not in explicit:
+                adopted[section][attr] = value
+            elif section != "graph" and getattr(current, attr) != value:
+                why = ("the task its head was trained for" if attr == "task" else
+                       "which fixed its test split" if section == "train" else
+                       "which fixed its parameter shapes")
+                raise ConfigError(f"{section}.{attr}={getattr(current, attr)!r} conflicts "
+                                  f"with the checkpoint's {value!r}, {why}")
+    try:  # an unknown key, a value out of range or of the wrong type
+        cfg = replace(cfg, model=replace(cfg.model, **adopted["model"]),
+                      graph=replace(cfg.graph, **adopted["graph"]), **adopted["train"])
+        cfg._validate()
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"checkpoint settings are invalid: {exc}") from None
     if ckpt.metadata.get("edge_feature_width") not in (None, cfg.graph.n_centers):
         raise ShapeMismatch("checkpoint edge feature width",
                             ckpt.metadata["edge_feature_width"], cfg.graph.n_centers)
-    split_keys = ("seed", "val_fraction", "test_fraction") if adopt_split else ()
-    for attr in split_keys:
-        stored = ckpt.metadata.get(attr)
-        if stored is None:
-            continue
-        if f"train.{attr}" not in rc.provided:
-            cfg = replace(cfg, **{attr: stored})
-        elif getattr(cfg, attr) != stored:
-            raise ConfigError(f"train.{attr}={getattr(cfg, attr)!r} conflicts with "
-                              f"the checkpoint's {stored!r}, which fixed its test split")
-    stored_task = ckpt.metadata.get("task")
-    if adopt_split and "train.task" in rc.provided and stored_task not in (None, cfg.task):
-        raise ConfigError(f"train.task={cfg.task!r} conflicts with the checkpoint's "
-                          f"{stored_task!r}, the task its head was trained for")
     return cfg
 
 

@@ -109,14 +109,13 @@ def _pair_similarities(z: Tensor, temperature: float) -> Tensor:
 
 
 def nt_xent(z: Tensor, temperature: float) -> Tensor:
-    """Sum over all 2N anchors of -log(exp(s_pos) / sum over non-anchor rows)."""
+    """Sum over all 2N anchors of -log(exp(s_pos) / sum over non-anchor rows):
+    supcon with every origin its own class, so each row's one positive is
+    its partner view."""
     n = z.shape[0]
     if n < 2 or n % 2:
         raise ValueError(f"nt_xent needs an even number of view rows, got {n}")
-    sims = _pair_similarities(z, temperature)
-    pos_mask = np.eye(n)[np.arange(n) ^ 1]  # row i marks its partner view
-    pos = ad.sum_(ad.mul(sims, Tensor(pos_mask)), axis=1)
-    return ad.sum_(ad.sub(_log_denominators(sims), pos))
+    return supcon(z, np.arange(n // 2), temperature)
 
 
 def supcon(z: Tensor, labels, temperature: float) -> Tensor:

@@ -164,7 +164,7 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
 # splits
 # ---------------------------------------------------------------------------
 
-def split_dataset(manifest, phase: str, seed: int, *,
+def split_dataset(records: list[ManifestRecord], phase: str, seed: int, *,
                   pretrain_eval_fraction: float = 0.05,
                   val_fraction: float = 0.10,
                   test_fraction: float = 0.20) -> dict[str, np.ndarray]:
@@ -173,7 +173,6 @@ def split_dataset(manifest, phase: str, seed: int, *,
     pretrain: {"train", "eval"} (explicit "val" rows become the eval set);
     finetune: {"train", "val", "test"}.
     """
-    records = getattr(manifest, "records", manifest)
     if not records:
         raise EmptySplit("train")
     explicit = [rec.split for rec in records]
@@ -376,18 +375,6 @@ def _view_pairs(dataset: GraphDataset, indices, cfg: TrainConfig, epoch: int,
     return [one(int(i)) for i in indices]
 
 
-def _batch_labels(dataset: GraphDataset, indices, required: bool):
-    labels = []
-    for i in indices:
-        rec = dataset.records[int(i)]
-        if rec.surrogate_label is None:
-            if required:
-                raise MissingSurrogateLabel(rec.id)
-            return None
-        labels.append(rec.surrogate_label)
-    return np.array(labels, dtype=np.int64)
-
-
 def pretrain(dataset: GraphDataset, cfg: TrainConfig, out_dir=None) -> TrainResult:
     """Contrastive pretraining over two augmented views per crystal.
 
@@ -406,7 +393,7 @@ def pretrain(dataset: GraphDataset, cfg: TrainConfig, out_dir=None) -> TrainResu
                          f"pretrain eval split has {len(eval_idx)}; raise "
                          "train.pretrain_eval_fraction")
     if cfg.loss.needs_labels:
-        _batch_labels(dataset, np.concatenate([train_idx, eval_idx]), required=True)
+        _record_values(dataset, np.concatenate([train_idx, eval_idx]), "surrogate_label")
     params = _init_params(cfg, dataset)
     log = TrainingLog()
     out_dir = Path(out_dir) if out_dir is not None else None
@@ -417,8 +404,9 @@ def pretrain(dataset: GraphDataset, cfg: TrainConfig, out_dir=None) -> TrainResu
         pairs = _view_pairs(dataset, indices, cfg, epoch, tag)
         batch = build_batch([view for pair in pairs for view in pair])
         z = project(params, encode(params, batch, cfg.model))
-        return compute_loss(cfg.loss, z,
-                            _batch_labels(dataset, indices, cfg.loss.needs_labels))
+        labels = (_record_values(dataset, indices, "surrogate_label")
+                  if cfg.loss.needs_labels else None)
+        return compute_loss(cfg.loss, z, labels)
 
     def checkpoint(epoch: int) -> Checkpoint:
         return checkpoint_from_params(
@@ -450,14 +438,18 @@ def _finetune_splits(dataset: GraphDataset, cfg: TrainConfig) -> dict[str, np.nd
                          test_fraction=cfg.test_fraction)
 
 
-def _targets(dataset: GraphDataset, indices) -> np.ndarray:
-    out = []
+def _record_values(dataset: GraphDataset, indices, name: str) -> np.ndarray:
+    """The indexed records' surrogate_label (int64) or target (float64); the
+    first record without one raises MissingSurrogateLabel or MissingTarget."""
+    missing, dtype = {"surrogate_label": (MissingSurrogateLabel, np.int64),
+                      "target": (MissingTarget, np.float64)}[name]
+    values = []
     for i in indices:
         rec = dataset.records[int(i)]
-        if rec.target is None:
-            raise MissingTarget(rec.id)
-        out.append(rec.target)
-    return np.array(out, dtype=np.float64)
+        if getattr(rec, name) is None:
+            raise missing(rec.id)
+        values.append(getattr(rec, name))
+    return np.array(values, dtype=dtype)
 
 
 def _predictions(params, dataset: GraphDataset, indices, cfg: TrainConfig) -> np.ndarray:
@@ -479,7 +471,7 @@ def _score(params, dataset: GraphDataset, indices, cfg: TrainConfig,
            t_mean: float = 0.0, t_std: float = 1.0) -> float:
     """Accuracy of the logits' signs for classification, else the MAE of the
     de-standardised predictions in the targets' native units."""
-    targets = _targets(dataset, indices)
+    targets = _record_values(dataset, indices, "target")
     preds = _predictions(params, dataset, indices, cfg)
     if cfg.task == "binary-classification":
         return float(((preds > 0) == (targets > 0.5)).mean())
@@ -510,8 +502,8 @@ def finetune(dataset: GraphDataset, ckpt: Checkpoint | None, cfg: TrainConfig,
     cfg = cfg.resolved("finetune")
     splits = _finetune_splits(dataset, cfg)
     train_idx, val_idx, test_idx = splits["train"], splits["val"], splits["test"]
-    train_targets = _targets(dataset, train_idx)
-    held_out = [_targets(dataset, val_idx), _targets(dataset, test_idx)]
+    train_targets = _record_values(dataset, train_idx, "target")
+    held_out = [_record_values(dataset, idx, "target") for idx in (val_idx, test_idx)]
     classification = cfg.task == "binary-classification"
     if classification:
         if not all(np.isin(t, (0.0, 1.0)).all() for t in (train_targets, *held_out)):
@@ -526,11 +518,10 @@ def finetune(dataset: GraphDataset, ckpt: Checkpoint | None, cfg: TrainConfig,
         _load_encoder(params, ckpt)
     log = TrainingLog()
     metric = _metric_name(cfg.task)
-    target_of = {int(i): t for i, t in zip(train_idx, train_targets)}
 
     def batch_loss(indices, epoch) -> Tensor:
         graphs = [dataset.graphs[int(i)] for i in indices]
-        raw = np.array([target_of[int(i)] for i in indices])
+        raw = _record_values(dataset, indices, "target")
         batch = build_batch(graphs)
         out = head_forward(params, encode(params, batch, cfg.model))
         if classification:
@@ -569,9 +560,18 @@ def finetune(dataset: GraphDataset, ckpt: Checkpoint | None, cfg: TrainConfig,
 
 def evaluate_checkpoint(dataset: GraphDataset, ckpt: Checkpoint,
                         cfg: TrainConfig) -> Metrics:
-    """Score a fine-tuned checkpoint on the test split."""
+    """Score a fine-tuned checkpoint on the test split.
+
+    cfg must carry the checkpoint's settings (model, graph, seed, val/test
+    fractions and task), as the CLI's evaluate reconciles them; only the
+    target standardisation is taken from the checkpoint. A task other than
+    the stored one raises TrainError.
+    """
     cfg = cfg.resolved("finetune")
-    cfg = replace(cfg, task=ckpt.metadata.get("task", cfg.task))
+    stored_task = ckpt.metadata.get("task")
+    if stored_task not in (None, cfg.task):
+        raise TrainError(f"task {cfg.task!r} is not the checkpoint's {stored_task!r}, "
+                         "the task its head was trained for")
     score = _score(ckpt.to_params(), dataset, _finetune_splits(dataset, cfg)["test"],
                    cfg, ckpt.metadata.get("target_mean", 0.0),
                    ckpt.metadata.get("target_std", 1.0))

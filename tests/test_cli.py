@@ -17,7 +17,8 @@ from crystalpretrain.elements import MAX_Z
 from crystalpretrain.graphs import GraphConfig
 from crystalpretrain.losses import LossConfig
 from crystalpretrain.model import ModelConfig
-from crystalpretrain.train import TrainConfig
+from crystalpretrain.train import (TrainConfig, TrainError, evaluate_checkpoint,
+                                   load_graph_dataset)
 
 SYNTH = ["--set", "synth.n_crystals=20", "--set", "synth.max_atoms=4"]
 FAST_TRAIN = [
@@ -188,6 +189,10 @@ BAD_INPUTS = {
         "checkpoint", _checkpoint_header(metadata={"graph_config": {"bogus": 1}})),
     "checkpoint-graph-config-invalid-value": (
         "checkpoint", _checkpoint_header(metadata={"graph_config": {"radius": -1.0}})),
+    "checkpoint-task-unknown": ("checkpoint", _checkpoint_header(metadata={"task": "foo"})),
+    "checkpoint-test-fraction-invalid-value": (
+        "checkpoint", _checkpoint_header(metadata={"test_fraction": 1.5})),
+    "checkpoint-seed-not-int": ("checkpoint", _checkpoint_header(metadata={"seed": "0"})),
     "checkpoint-tensors-not-list": ("checkpoint", _checkpoint_header(tensors={"w": [1]})),
     "checkpoint-tensor-no-shape": (
         "checkpoint", _checkpoint_header(tensors=[{"name": "w", "offset": 0}])),
@@ -486,6 +491,34 @@ def test_evaluate_refuses_a_conflicting_task(trained, synth_dir, tmp_path, capsy
     assert not (tmp_path / "cls").exists()
     assert run(["--out", tmp_path / "reg", "--set", "train.task=regression", *args]) == 0
     assert "test_mae," in (tmp_path / "reg" / "metrics.csv").read_text()
+
+
+def test_evaluate_adopts_unset_graph_fields(trained, synth_dir, tmp_path):
+    # the fine-tune ran at graph.radius=6; naming only the stored
+    # max_neighbors still takes the stored radius
+    assert run(["--out", tmp_path, "--set", "graph.max_neighbors=12",
+                "evaluate", synth_dir / "manifest.csv",
+                "--checkpoint", trained / "ft" / "best.ckpt"]) == 0
+    assert math.isclose(read_test_mae(tmp_path), read_test_mae(trained / "ft"),
+                        rel_tol=1e-5)
+
+
+def test_evaluate_checks_model_fields_one_by_one(trained, synth_dir, tmp_path, capsys):
+    args = ["evaluate", synth_dir / "manifest.csv", "--checkpoint", trained / "ft" / "best.ckpt"]
+    assert run(["--out", tmp_path / "same", "--set", "model.hidden_dim=6", *args]) == 0
+    assert run(["--out", tmp_path / "other", "--set", "model.hidden_dim=7", *args]) == 2
+    assert "model.hidden_dim=7 conflicts with the checkpoint's 6" in capsys.readouterr().err
+    assert not (tmp_path / "other").exists()
+
+
+def test_evaluate_checkpoint_refuses_another_task(trained, synth_dir):
+    ckpt = load_checkpoint(trained / "ft" / "best.ckpt")
+    graph = GraphConfig(**ckpt.metadata["graph_config"])
+    dataset = load_graph_dataset(load_manifest(synth_dir / "manifest.csv"), graph)
+    cfg = TrainConfig(graph=graph, model=ckpt.model_config, seed=ckpt.metadata["seed"],
+                      task="binary-classification")
+    with pytest.raises(TrainError, match="the task its head was trained for"):
+        evaluate_checkpoint(dataset, ckpt, cfg)
 
 
 def test_augment_preview(synth_dir, tmp_path):
