@@ -9,12 +9,14 @@ costs one down/up conversion.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import os
 import struct
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -92,6 +94,19 @@ def write_atomically(path, data: bytes) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_csv(path, header, rows) -> None:
+    """Write a header row and rows as CSV, atomically: lines end in \\n, a
+    cell is quoted only when it holds a comma, a quote or a line break, and
+    None is an empty cell."""
+    lines = []
+    # csv.writer quotes a line break only if its row end holds it, and writes
+    # each row in one call: "\r\n" ends, each cut to "\n"
+    writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    write_atomically(path, "".join(line[:-2] + "\n" for line in lines).encode("utf-8"))
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:

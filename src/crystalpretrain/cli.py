@@ -20,20 +20,19 @@ from pathlib import Path
 
 import numpy as np
 
-from .augment import AugmentConfig, make_views
+from .augment import AugmentConfig
 from .autodiff import NonFinite, ShapeMismatch
-from .checkpoint import CheckpointError, load_checkpoint, write_atomically
+from .checkpoint import CheckpointError, load_checkpoint, write_csv
 from .datasets import (DatasetManifest, ManifestError, PlacementFailure,
                        SyntheticConfig, element_frequencies,
                        generate_synthetic_dataset, load_manifest, load_structures,
                        shannon_entropy, write_dataset)
 from .graphs import GraphConfig, GraphError
 from .losses import LossConfig
-from .model import ModelConfig, build_batch, encode, project
-from .rng import RngStream
+from .model import ModelConfig, project
 from .structures import StructureError
-from .train import (Metrics, TrainConfig, TrainError, _finetune_splits,
-                    evaluate_checkpoint, finetune, load_graph_dataset, pretrain)
+from .train import (Metrics, TrainConfig, TrainError, evaluate_checkpoint, finetune,
+                    finetune_splits, forward, load_graph_dataset, pretrain, view_pair)
 
 
 class ConfigError(Exception):
@@ -146,9 +145,8 @@ def _write_metrics(out: Path, metrics: Metrics) -> str:
     command's summary line."""
     rows = [("test_mae", metrics.mae), ("test_accuracy", metrics.accuracy),
             ("best_val_metric", metrics.val_metric), ("best_epoch", metrics.best_epoch)]
-    text = "metric,value\n" + "".join(f"{name},{value!r}\n" for name, value in rows
-                                       if value is not None)
-    write_atomically(out / "metrics.csv", text.encode("utf-8"))
+    write_csv(out / "metrics.csv", ("metric", "value"),
+              [(name, value) for name, value in rows if value is not None])
     if metrics.mae is not None:
         return f"test_mae={metrics.mae!r}"
     return f"test_accuracy={metrics.accuracy!r}"
@@ -174,9 +172,8 @@ def cmd_stats(args, rc: RunConfig) -> int:
     entropy = shannon_entropy(counts)
     out = _out_dir(args)
     stats_path = out / "stats.csv"
-    rows = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    text = "element,count\n" + "".join(f"{sym},{count}\n" for sym, count in rows)
-    write_atomically(stats_path, text.encode("utf-8"))
+    write_csv(stats_path, ("element", "count"),
+              sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])))
     print(f"elements={len(counts)} shannon_entropy_nats={entropy!r}")
     print(f"wrote {stats_path}")
     return 0
@@ -259,8 +256,7 @@ def _prepare(args, rc: RunConfig):
 def cmd_pretrain(args, rc: RunConfig) -> int:
     _, cfg, out, dataset = _prepare(args, rc)
     result = pretrain(dataset, cfg, out_dir=out)
-    eval_rows = [r for r in result.log.rows if r[4] == "eval_loss"]
-    last_eval = eval_rows[-1][5] if eval_rows else "n/a"
+    last_eval = next(r[5] for r in reversed(result.log.rows) if r[4] == "eval_loss")
     print(f"pretraining done: loss={cfg.loss.kind} epochs={cfg.epochs} "
           f"final_eval_loss={last_eval}")
     print(f"wrote {out / 'final.ckpt'}")
@@ -286,28 +282,16 @@ def cmd_evaluate(args, rc: RunConfig) -> int:
 
 def cmd_embed(args, rc: RunConfig) -> int:
     ckpt, cfg, out, dataset = _prepare(args, rc)
-    test_idx = _finetune_splits(dataset, cfg)["test"]
-    params = ckpt.to_params()
+    test_idx = finetune_splits(dataset, cfg)["test"]
     # a fine-tuned checkpoint's projection head is its untrained initial one
-    finetuned = ckpt.metadata.get("phase") == "finetune"
-
-    rows = []
-    for start in range(0, len(test_idx), cfg.batch_size):
-        chunk = test_idx[start:start + cfg.batch_size]
-        graphs = [dataset.graphs[int(i)] for i in chunk]  # un-augmented, always
-        pooled = encode(params, build_batch(graphs), cfg.model)
-        emb = pooled if finetuned else project(params, pooled)
-        for row_i, i in enumerate(chunk):
-            rec = dataset.records[int(i)]
-            label = "" if rec.surrogate_label is None else str(rec.surrogate_label)
-            values = ",".join(repr(float(v)) for v in emb.values[row_i])
-            rows.append(f"{rec.id},{label},{values}")
-
-    width = cfg.model.hidden_dim if finetuned else cfg.model.embed_dim
-    header = "id,label," + ",".join(f"e{k}" for k in range(width))
+    head = None if ckpt.metadata.get("phase") == "finetune" else project
+    emb = forward(ckpt.to_params(), dataset, test_idx, cfg, head)
+    records = [dataset.records[int(i)] for i in test_idx]
+    rows = [[rec.id, rec.surrogate_label, *values]
+            for rec, values in zip(records, emb.tolist())]
     embed_path = out / "embeddings.csv"
-    write_atomically(embed_path, "\n".join([header, *rows, ""]).encode("utf-8"))
-    print(f"wrote {embed_path} ({len(rows)} rows, {width} dims)")
+    write_csv(embed_path, ["id", "label", *(f"e{k}" for k in range(emb.shape[1]))], rows)
+    print(f"wrote {embed_path} ({len(rows)} rows, {emb.shape[1]} dims)")
     return 0
 
 
@@ -320,19 +304,18 @@ def cmd_augment_preview(args, rc: RunConfig) -> int:
         raise ManifestError(f"unknown record id: {args.id!r}")
     graph = load_graph_dataset(DatasetManifest([manifest.records[index]]),
                                cfg.graph).graphs[0]
-    streams = (RngStream(cfg.seed, "augment", 0, index, 0),
-               RngStream(cfg.seed, "augment", 0, index, 1))
-    views = make_views(graph, cfg.augment, streams, cfg.graph)
+    # the pair epoch 0 of pretraining trains on when the record is in its train split
+    views = view_pair(graph, cfg, 0, index)
 
-    preview_path = out / "preview.csv"
-    lines = ["view,edge,i,j,d,d_noised,masked,feature_l2\n"]
+    rows = []
     for v, view in enumerate(views, start=1):
         for e in range(view.n_edges):
             l2 = float(np.sqrt((view.edge_features[e] ** 2).sum()))
-            d, dn = float(graph.distances[e]), float(view.distances[e])
-            lines.append(f"{v},{e},{view.src[e]},{view.dst[e]},"
-                         f"{d!r},{dn!r},{int(view.edge_masked[e])},{l2!r}\n")
-    write_atomically(preview_path, "".join(lines).encode("utf-8"))
+            rows.append((v, e, view.src[e], view.dst[e], float(graph.distances[e]),
+                         float(view.distances[e]), int(view.edge_masked[e]), l2))
+    preview_path = out / "preview.csv"
+    write_csv(preview_path, ("view", "edge", "i", "j", "d", "d_noised", "masked",
+                             "feature_l2"), rows)
     print(f"wrote {preview_path}")
     return 0
 

@@ -5,8 +5,8 @@ targets, and optional split assignments:
 
     id,cif_path,surrogate_label,target,split
 
-Empty fields mean "absent"; surrogate labels present in the file must form a
-contiguous range 0..K-1.
+Empty fields mean "absent"; surrogate labels present in a manifest file must
+form a contiguous range 0..K-1.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .checkpoint import write_csv
 from .elements import z_to_symbol
 from .rng import RngStream
 from .structures import (CrystalStructure, StructureError, decode_utf8, parse_cif,
@@ -76,26 +77,16 @@ class DatasetManifest:
             if rec.id in seen:
                 raise DuplicateId(rec.id)
             seen.add(rec.id)
-        labels = {rec.surrogate_label for rec in self.records
-                  if rec.surrogate_label is not None}
-        if labels and labels != set(range(len(labels))):
-            raise NonContiguousLabels(labels)
-        for rec in self.records:
             if rec.split is not None and rec.split not in SPLIT_NAMES:
                 raise ManifestError(f"record {rec.id!r}: bad split {rec.split!r}")
-
-    @property
-    def n_classes(self) -> int:
-        labels = [rec.surrogate_label for rec in self.records
-                  if rec.surrogate_label is not None]
-        return max(labels) + 1 if labels else 0
 
     def __len__(self) -> int:
         return len(self.records)
 
 
 def load_manifest(path) -> DatasetManifest:
-    """Read a manifest CSV; relative cif paths resolve against its directory."""
+    """Read a manifest CSV; relative cif paths resolve against its directory
+    and its surrogate labels must form 0..K-1."""
     path = Path(path)
     base = path.parent
     reader = csv.reader(io.StringIO(decode_utf8(path.read_bytes(), path, ManifestError),
@@ -107,9 +98,9 @@ def load_manifest(path) -> DatasetManifest:
     for col in MANIFEST_COLUMNS:
         if col not in header:
             raise MissingColumn(col)
-    extra = [col for col in header if col not in MANIFEST_COLUMNS]
-    if extra:
-        raise ManifestError(f"unexpected manifest columns: {extra}")
+    if len(header) > len(MANIFEST_COLUMNS):  # an unknown or a repeated column
+        raise ManifestError(f"{path}:1: the header must name each of "
+                            f"{list(MANIFEST_COLUMNS)} once, got {header}")
     idx = {col: header.index(col) for col in MANIFEST_COLUMNS}
     records = []
     for row in reader:
@@ -128,21 +119,17 @@ def load_manifest(path) -> DatasetManifest:
         records.append(ManifestRecord(
             id=cell["id"], cif_path=str(cif if cif.is_absolute() else base / cif),
             surrogate_label=label, target=target, split=cell["split"] or None))
+    labels = {rec.surrogate_label for rec in records if rec.surrogate_label is not None}
+    if labels != set(range(len(labels))):
+        raise NonContiguousLabels(labels)
     return DatasetManifest(records)
 
 
 def save_manifest(manifest: DatasetManifest, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(MANIFEST_COLUMNS)
-        for rec in manifest.records:
-            writer.writerow([
-                rec.id,
-                rec.cif_path,
-                "" if rec.surrogate_label is None else rec.surrogate_label,
-                "" if rec.target is None else repr(rec.target),
-                rec.split or "",
-            ])
+    write_csv(path, MANIFEST_COLUMNS, (
+        [rec.id, rec.cif_path, rec.surrogate_label,
+         None if rec.target is None else repr(rec.target), rec.split]
+        for rec in manifest.records))
 
 
 def load_structures(manifest: DatasetManifest) -> dict[str, CrystalStructure]:
@@ -222,9 +209,10 @@ def generate_synthetic_dataset(
     """Random orthorhombic crystals with composition-derived labels.
 
     The surrogate label is the modal element's palette index mod n_classes
-    (ties go to the smallest palette index); the target is
-    synthetic_target(mean Z, volume) plus Gaussian noise. Everything is a
-    pure function of the config.
+    (ties go to the smallest palette index), with the classes no crystal
+    drew dropped and the rest renumbered in order, so that the labels form
+    0..K-1; the target is synthetic_target(mean Z, volume) plus Gaussian
+    noise. Everything is a pure function of the config.
     """
     structures = []
     records = []
@@ -251,6 +239,9 @@ def generate_synthetic_dataset(
             surrogate_label=label,
             target=target,
         ))
+    drawn = sorted({rec.surrogate_label for rec in records})
+    for rec in records:
+        rec.surrogate_label = drawn.index(rec.surrogate_label)
     return structures, DatasetManifest(records)
 
 

@@ -288,7 +288,8 @@ class FeatureTable:
 
 
 def load_feature_table(path) -> FeatureTable:
-    """Read an external node-feature table: CSV header z,f0,f1,... ."""
+    """Read an external node-feature table: CSV header z,f0,f1,... and at
+    most one row per element."""
     data = Path(path).read_bytes()
     reader = csv.reader(io.StringIO(decode_utf8(data, path, GraphError), newline=""))
     header = next(reader, None)
@@ -304,9 +305,12 @@ def load_feature_table(path) -> FeatureTable:
         if len(row) - 1 != width:
             raise GraphError(f"feature table row width {len(row) - 1} != {width}")
         try:
-            rows[int(row[0])] = np.array([float(x) for x in row[1:]])
+            z, values = int(row[0]), np.array([float(x) for x in row[1:]])
         except ValueError as exc:
             raise GraphError(f"{path}:{reader.line_num}: {exc}") from None
+        if z in rows:
+            raise GraphError(f"{path}:{reader.line_num}: a second row for z={z}")
+        rows[z] = values
     return FeatureTable(rows=rows, width=width, sha256=hashlib.sha256(data).hexdigest())
 
 

@@ -17,8 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from .augment import AugmentConfig, make_views
 from .autodiff import Tape, Tensor, backward
-from .checkpoint import (Checkpoint, checkpoint_from_params, save_checkpoint,
-                         write_atomically)
+from .checkpoint import Checkpoint, checkpoint_from_params, save_checkpoint, write_csv
 from .datasets import DatasetManifest, ManifestRecord, load_structures
 from .graphs import FeatureTable, GraphConfig, build_graph, load_feature_table
 from .losses import LossConfig, compute_loss
@@ -260,9 +259,7 @@ class TrainingLog:
         self.rows.append((step, epoch, phase, "", name, repr(float(value))))
 
     def save(self, path) -> None:
-        lines = [self.COLUMNS, *self.rows]
-        write_atomically(path, "".join(",".join(map(str, row)) + "\n" for row in lines)
-                         .encode("utf-8"))
+        write_csv(path, self.COLUMNS, self.rows)
 
 
 def mean_absolute_error(preds, targets) -> float:
@@ -362,17 +359,22 @@ def _train(params: dict[str, Tensor], names, train_idx: np.ndarray, cfg: TrainCo
 # pretraining
 # ---------------------------------------------------------------------------
 
+def view_pair(graph, cfg: TrainConfig, epoch: int, index: int, tag: str = "augment"):
+    """The two augmented views of the crystal at dataset position index in
+    epoch, drawn from the streams (cfg.seed, tag, epoch, index, view)."""
+    streams = tuple(RngStream(cfg.seed, tag, epoch, int(index), view) for view in (0, 1))
+    return make_views(graph, cfg.augment, streams, cfg.graph)
+
+
 def _view_pairs(dataset: GraphDataset, indices, cfg: TrainConfig, epoch: int,
                 tag: str):
     def one(i):
-        streams = (RngStream(cfg.seed, tag, epoch, int(i), 0),
-                   RngStream(cfg.seed, tag, epoch, int(i), 1))
-        return make_views(dataset.graphs[i], cfg.augment, streams, cfg.graph)
+        return view_pair(dataset.graphs[i], cfg, epoch, i, tag)
 
     if cfg.n_workers > 1:
         with ThreadPoolExecutor(max_workers=cfg.n_workers) as pool:
-            return list(pool.map(one, [int(i) for i in indices]))
-    return [one(int(i)) for i in indices]
+            return list(pool.map(one, indices))
+    return [one(i) for i in indices]
 
 
 def pretrain(dataset: GraphDataset, cfg: TrainConfig, out_dir=None) -> TrainResult:
@@ -432,7 +434,8 @@ def pretrain(dataset: GraphDataset, cfg: TrainConfig, out_dir=None) -> TrainResu
 # fine-tuning
 # ---------------------------------------------------------------------------
 
-def _finetune_splits(dataset: GraphDataset, cfg: TrainConfig) -> dict[str, np.ndarray]:
+def finetune_splits(dataset: GraphDataset, cfg: TrainConfig) -> dict[str, np.ndarray]:
+    """The train, val and test index sets that cfg's seed and fractions fix."""
     return split_dataset(dataset.records, "finetune", cfg.seed,
                          val_fraction=cfg.val_fraction,
                          test_fraction=cfg.test_fraction)
@@ -452,15 +455,17 @@ def _record_values(dataset: GraphDataset, indices, name: str) -> np.ndarray:
     return np.array(values, dtype=dtype)
 
 
-def _predictions(params, dataset: GraphDataset, indices, cfg: TrainConfig) -> np.ndarray:
-    preds = []
+def forward(params, dataset: GraphDataset, indices, cfg: TrainConfig,
+            head=None) -> np.ndarray:
+    """The indexed graphs, un-augmented, through the encoder cfg.batch_size
+    at a time, then through head(params, pooled) if one is given (project or
+    head_forward): one row per index."""
+    out = []
     for start in range(0, len(indices), cfg.batch_size):
-        chunk = indices[start:start + cfg.batch_size]
-        graphs = [dataset.graphs[int(i)] for i in chunk]
-        batch = build_batch(graphs)
-        out = head_forward(params, encode(params, batch, cfg.model))
-        preds.append(out.values[:, 0])
-    return np.concatenate(preds)
+        graphs = [dataset.graphs[int(i)] for i in indices[start:start + cfg.batch_size]]
+        pooled = encode(params, build_batch(graphs), cfg.model)
+        out.append((pooled if head is None else head(params, pooled)).values)
+    return np.concatenate(out)
 
 
 def _metric_name(task: str) -> str:
@@ -472,7 +477,7 @@ def _score(params, dataset: GraphDataset, indices, cfg: TrainConfig,
     """Accuracy of the logits' signs for classification, else the MAE of the
     de-standardised predictions in the targets' native units."""
     targets = _record_values(dataset, indices, "target")
-    preds = _predictions(params, dataset, indices, cfg)
+    preds = forward(params, dataset, indices, cfg, head_forward)[:, 0]
     if cfg.task == "binary-classification":
         return float(((preds > 0) == (targets > 0.5)).mean())
     return mean_absolute_error(preds * t_std + t_mean, targets)
@@ -500,7 +505,7 @@ def finetune(dataset: GraphDataset, ckpt: Checkpoint | None, cfg: TrainConfig,
     test split.
     """
     cfg = cfg.resolved("finetune")
-    splits = _finetune_splits(dataset, cfg)
+    splits = finetune_splits(dataset, cfg)
     train_idx, val_idx, test_idx = splits["train"], splits["val"], splits["test"]
     train_targets = _record_values(dataset, train_idx, "target")
     held_out = [_record_values(dataset, idx, "target") for idx in (val_idx, test_idx)]
@@ -572,7 +577,7 @@ def evaluate_checkpoint(dataset: GraphDataset, ckpt: Checkpoint,
     if stored_task not in (None, cfg.task):
         raise TrainError(f"task {cfg.task!r} is not the checkpoint's {stored_task!r}, "
                          "the task its head was trained for")
-    score = _score(ckpt.to_params(), dataset, _finetune_splits(dataset, cfg)["test"],
+    score = _score(ckpt.to_params(), dataset, finetune_splits(dataset, cfg)["test"],
                    cfg, ckpt.metadata.get("target_mean", 0.0),
                    ckpt.metadata.get("target_std", 1.0))
     return Metrics(**{_metric_name(cfg.task): score})

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -8,15 +9,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from crystalpretrain.augment import AugmentConfig
+from crystalpretrain.augment import AugmentConfig, make_views
 from crystalpretrain.checkpoint import MAGIC, VERSION, load_checkpoint, save_checkpoint
 from crystalpretrain.cli import (KEY_SPECS, ConfigError, RunConfig, main,
                                  read_config_file)
-from crystalpretrain.datasets import MANIFEST_COLUMNS, SyntheticConfig, load_manifest
+from crystalpretrain.datasets import (MANIFEST_COLUMNS, SyntheticConfig, load_manifest,
+                                      save_manifest)
 from crystalpretrain.elements import MAX_Z
 from crystalpretrain.graphs import GraphConfig
 from crystalpretrain.losses import LossConfig
 from crystalpretrain.model import ModelConfig
+from crystalpretrain.rng import RngStream
 from crystalpretrain.train import (TrainConfig, TrainError, evaluate_checkpoint,
                                    load_graph_dataset)
 
@@ -67,6 +70,14 @@ def test_synth_four_crystals(tmp_path):
                 "--set", "synth.n_crystals=4", "synth"]) == 0
     assert len(list((tmp_path / "crystals").glob("*.cif"))) == 4
     assert (tmp_path / "manifest.csv").exists()
+
+
+def test_synth_renumbers_classes_no_crystal_drew(tmp_path):
+    # at this seed the eight crystals draw classes 0 and 2 of 4
+    assert run(["--out", tmp_path, "--seed", "8", "--set", "synth.n_crystals=8",
+                "--set", "synth.n_classes=4", "--set", "synth.max_atoms=3", "synth"]) == 0
+    labels = {r.surrogate_label for r in load_manifest(tmp_path / "manifest.csv").records}
+    assert labels == {0, 1}
 
 
 def test_synth_defaults_to_64_crystals(tmp_path):
@@ -249,13 +260,33 @@ def test_bad_input_exits_3(case, synth_dir, tmp_path, capsys):
         assert f"{bad}:2:" in err  # names the line
 
 
-@pytest.mark.filterwarnings("ignore:overflow")
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_numerical_failure_exits_4(synth_dir, tmp_path):
     # an absurd learning rate detonates the parameters within a step or two
     code = run(["--out", tmp_path, "--seed", "1", *FAST_TRAIN,
                 "--set", "train.lr=1e155", "--set", "train.epochs=2",
                 "pretrain", synth_dir / "manifest.csv"])
     assert code == 4
+
+
+@pytest.mark.parametrize("kind", ["manifest", "table"])
+def test_repeated_entry_exits_3(kind, synth_dir, tmp_path, capsys):
+    # a second target column or a second row for an element would otherwise
+    # be dropped or shadow the first, silently
+    manifest = synth_dir / "manifest.csv"
+    bad = tmp_path / f"bad.{kind}"
+    if kind == "manifest":
+        cif = load_manifest(manifest).records[0].cif_path
+        bad.write_text(",".join(MANIFEST_COLUMNS) + f",target\nsyn-x,{cif},0,1.5,,2.5\n")
+        args, line = ["stats", bad], 1
+    else:
+        write_feature_table(bad, seed=0)
+        with open(bad, "a") as fh:
+            fh.write("26,1.0,2.0,3.0\n")
+        args = [*FAST_TRAIN, "--set", f"graph.feature_table={bad}", "pretrain", manifest]
+        line = MAX_Z + 2
+    assert run(["--out", tmp_path / "out", *args]) == 3
+    assert f"{bad}:{line}:" in capsys.readouterr().err
 
 
 def test_module_entry_point():
@@ -418,6 +449,19 @@ def test_embed_command(trained, synth_dir, tmp_path):
     assert len(lines) - 1 == 4
 
 
+def test_embed_quotes_ids_holding_commas(trained, synth_dir, tmp_path):
+    manifest = load_manifest(synth_dir / "manifest.csv")
+    for rec in manifest.records:
+        rec.id = rec.id.replace("-", ",")
+    save_manifest(manifest, tmp_path / "manifest.csv")
+    assert run(["--out", tmp_path / "out", "embed", tmp_path / "manifest.csv",
+                "--checkpoint", trained / "pre" / "final.ckpt"]) == 0
+    with open(tmp_path / "out" / "embeddings.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert len(rows) == 4
+    assert all(len(row) == len(header) and row[0].startswith("syn,") for row in rows)
+
+
 def test_evaluate_refuses_a_pretraining_checkpoint(trained, synth_dir, tmp_path, capsys):
     manifest = synth_dir / "manifest.csv"
     # a pretraining checkpoint's task head is its random initial one
@@ -537,6 +581,25 @@ def test_augment_preview(synth_dir, tmp_path):
     for view, masked in per_view.items():
         expected = max(1, int(math.floor(0.1 * len(masked) + 0.5)))
         assert sum(masked) == expected
+
+
+def test_augment_preview_shows_the_epoch_0_views(synth_dir, tmp_path):
+    # any record, whatever its label: the streams are keyed by the seed,
+    # epoch 0 and the record's position in the manifest
+    manifest = load_manifest(synth_dir / "manifest.csv")
+    index = next(k for k, rec in enumerate(manifest.records) if rec.surrogate_label == 1)
+    assert run(["--out", tmp_path, "--seed", "2", "--set", "graph.radius=6.0",
+                "augment-preview", synth_dir / "manifest.csv",
+                "--id", manifest.records[index].id]) == 0
+    gcfg = GraphConfig(radius=6.0)
+    graph = load_graph_dataset(manifest, gcfg).graphs[index]
+    streams = tuple(RngStream(2, "augment", 0, index, view) for view in (0, 1))
+    views = make_views(graph, AugmentConfig(), streams, gcfg)
+    with open(tmp_path / "preview.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(row["d_noised"], row["masked"]) for row in rows] == [
+        (repr(float(d)), str(int(masked)))
+        for view in views for d, masked in zip(view.distances, view.edge_masked)]
 
 
 def test_augment_preview_unknown_id(synth_dir, tmp_path):

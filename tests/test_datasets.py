@@ -24,7 +24,7 @@ def test_load_manifest(tmp_path):
     path = tmp_path / "manifest.csv"
     path.write_text(MANIFEST_TEXT)
     manifest = load_manifest(path)
-    assert manifest.n_classes == 2
+    assert {rec.surrogate_label for rec in manifest.records} == {0, 1}
     assert manifest.records[0].target == 1.5
     assert manifest.records[1].target is None  # pretraining-only record
     assert manifest.records[1].surrogate_label == 1
@@ -66,13 +66,15 @@ def test_bad_split_value():
 
 
 def test_manifest_round_trip(tmp_path):
+    # ids that need quoting: a comma and a quote, and a lone carriage return
     records = [
-        ManifestRecord("a", "crystals/a.cif", 0, 1.25, "train"),
-        ManifestRecord("b", "crystals/b.cif", 1, None, None),
+        ManifestRecord('a,"x"', "crystals/a.cif", 0, 1.25, "train"),
+        ManifestRecord("b\rc", "crystals/b.cif", 1, None, None),
     ]
     path = tmp_path / "manifest.csv"
     save_manifest(DatasetManifest(records), path)
     loaded = load_manifest(path)
+    assert [rec.id for rec in loaded.records] == ['a,"x"', "b\rc"]
     assert loaded.records[0].target == 1.25
     assert loaded.records[1].target is None
     assert loaded.records[1].split is None
