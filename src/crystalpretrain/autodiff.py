@@ -239,7 +239,9 @@ def _runs(ids: np.ndarray) -> list[tuple[np.ndarray, np.ndarray | None]]:
     (the id of each run, a (runs, L) array of row indices in row order).
     Sorted ids whose runs all have one length form one group with no row
     indices: the rows as they lie are the runs."""
-    order = None if (ids[1:] >= ids[:-1]).all() else np.argsort(ids, kind="stable")
+    # a stable sort by unique keys: id * L + row < id2 * L for every id2 > id
+    order = (None if (ids[1:] >= ids[:-1]).all()
+             else (ids * len(ids) + np.arange(len(ids))).argsort())
     ids = ids if order is None else ids[order]
     starts = np.flatnonzero(np.diff(ids, prepend=-1))
     lengths = np.diff(starts, append=len(ids))

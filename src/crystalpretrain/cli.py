@@ -228,8 +228,8 @@ def _prepare(args, rc: RunConfig):
     """The command's checkpoint (None for pretrain and --no-pretrain), its
     configuration reconciled with that checkpoint, the output directory and
     the graph dataset. evaluate and embed score the split the checkpoint was
-    trained with. A feature table whose digest differs from the one the
-    checkpoint stores is refused."""
+    trained with, and read only that test split's CIFs. A feature table whose
+    digest differs from the one the checkpoint stores is refused."""
     path = getattr(args, "checkpoint", None)
     if getattr(args, "no_pretrain", False):
         if path:
@@ -241,11 +241,12 @@ def _prepare(args, rc: RunConfig):
         raise ConfigError(f"{path} is a checkpoint of phase 'pretrain', whose task "
                           "head is untrained; evaluate a fine-tuned checkpoint")
     phase = "pretrain" if args.command == "pretrain" else "finetune"
-    cfg = _reconcile_with_checkpoint(rc, rc.train_config(phase), ckpt,
-                                     adopt_split=args.command in ("evaluate", "embed"))
+    scoring = args.command in ("evaluate", "embed")
+    cfg = _reconcile_with_checkpoint(rc, rc.train_config(phase), ckpt, adopt_split=scoring)
     out = _out_dir(args)
-    dataset = load_graph_dataset(load_manifest(args.manifest), cfg.graph,
-                                 n_workers=cfg.n_workers)
+    manifest = load_manifest(args.manifest)
+    test = finetune_splits(manifest, cfg)["test"] if scoring else None
+    dataset = load_graph_dataset(manifest, cfg.graph, cfg.n_workers, indices=test)
     trained_on = ckpt.metadata.get("feature_table_sha256") if ckpt else None
     if trained_on and getattr(dataset.feature_table, "sha256", None) != trained_on:
         raise GraphError(f"graph.feature_table={cfg.graph.feature_table} is not the "

@@ -209,18 +209,18 @@ def neighbor_list(structure: CrystalStructure, cfg: GraphConfig
     drops only pairs that the cap or the cutoff would drop, and each
     distance is the square root of dx^2 + dy^2 + dz^2 added left to right.
     Points are numbered in (neighbor index, image vector) order, so the
-    sort keys (anchor, distance, point) are unique per edge and the order in
-    which candidates are found does not matter.
+    sort keys (anchor, distance, point) are unique per edge: the order in
+    which candidates are found does not matter, and argsorts of the distances
+    and of two int64 keys built from them give lexsort's order, faster.
     """
     # contiguous rows of x, y and z: a transposed view would make the
     # gathers and the arithmetic on them strided, and slower
     xyz = frac_to_cart(structure).T.copy()
     n = structure.n_sites
-    na, nb, nc = _image_ranges(structure.lattice, cfg.radius)
-    grids = np.meshgrid(np.arange(-na, na + 1), np.arange(-nb, nb + 1),
-                        np.arange(-nc, nc + 1), indexing="ij")
-    # image vectors in lexicographic order
-    offsets = np.stack([g.ravel() for g in grids], axis=1)
+    span = np.array(_image_ranges(structure.lattice, cfg.radius))
+    # image vectors in lexicographic order, in a C-contiguous copy: the
+    # matmul below may round differently on another layout
+    offsets = np.indices(2 * span + 1).reshape(3, -1).T.copy() - span
     shifts = offsets @ structure.lattice
     # r_j + shift_o as rows of x, y and z: point p is site p // len(offsets),
     # image p % len(offsets), so points ascend by (site, image vector)
@@ -238,13 +238,20 @@ def neighbor_list(structure: CrystalStructure, cfg: GraphConfig
             anchor_idx, point, d = (np.concatenate([a[keep], b])
                                     for a, b in zip((anchor_idx, point, d), found))
 
-    order = np.lexsort((point, d, anchor_idx))
-    anchor_idx, point, d = anchor_idx[order], point[order], d[order]
-
     per_anchor = np.bincount(anchor_idx, minlength=n)
-    isolated = np.nonzero(per_anchor == 0)[0]
-    if len(isolated):
-        raise IsolatedAtom(isolated.tolist())
+    if not per_anchor.all():
+        raise IsolatedAtom(np.flatnonzero(per_anchor == 0).tolist())
+
+    # keys: the distance's dense rank x P + point, then anchor x M + position.
+    # With N <= P sites, M candidates and P image points each is below M * P,
+    # under 2^63 while the arrays (24 B per point, 50+ per candidate) fit in 200 GB
+    order = d.argsort()
+    d_sorted = d[order]
+    key = point[order]
+    key[1:] += image_pos.shape[1] * (d_sorted[1:] != d_sorted[:-1]).cumsum()
+    order = order[key.argsort()]
+    order = order[(anchor_idx[order] * len(order) + np.arange(len(order))).argsort()]
+    anchor_idx, point, d = anchor_idx[order], point[order], d[order]
 
     # rank of each edge within its anchor's sorted run
     rank = np.arange(len(anchor_idx)) - (np.cumsum(per_anchor) - per_anchor)[anchor_idx]
@@ -269,8 +276,7 @@ def gaussian_expand(distances: np.ndarray, cfg: GraphConfig) -> np.ndarray:
     d = np.asarray(distances, dtype=np.float64)
     arg = d[:, None] - cfg.centers[None, :]
     arg *= arg
-    np.negative(arg, out=arg)
-    arg /= cfg.sigma * cfg.sigma
+    arg /= -(cfg.sigma * cfg.sigma)  # IEEE division is sign-symmetric
     arg[arg < _LOG_MIN_NORMAL] = -np.inf
     return np.exp(arg, out=arg)
 

@@ -3,12 +3,17 @@
 Only P1 (symmetry-expanded) CIFs are accepted: cell parameters, plus an
 atom-site loop with fractional coordinates. Anything fancier (symmetry
 operations beyond identity, occupancies, disorder) is out of scope.
+
+The site loop is read by column: one regex match and one numpy conversion
+for all coordinates. A loop with a bad row is read again row by row, so the
+error, and its text, is the first bad row's.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from contextlib import suppress
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -141,8 +146,14 @@ def lattice_from_parameters(a: float, b: float, c: float,
     ])
 
 
-# groups: mantissa, exponent; a trailing standard uncertainty "(2)" is dropped
-_NUMBER_RE = re.compile(r"([+-]?(?:\d+\.?\d*|\.\d+))(?:[eEdD]([+-]?\d+))?(?:\(\d+\))?")
+# a number: mantissa, exponent and a standard uncertainty "(2)", dropped. A
+# string matches in one way only, so the joined form fails on a bad number in
+# one pass; it takes ASCII digits, and other digits are read row by row
+_NUMBER = r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eEdD][+-]?\d+)?(?:\(\d+\))?"
+_NUMBER_RE = re.compile(_NUMBER)
+_NUMBERS_RE = re.compile(rf"{_NUMBER}(?:\n{_NUMBER})*", re.ASCII)
+_UNCERTAINTY_RE = re.compile(r"\(\d+\)")
+_D_TO_E = str.maketrans("dD", "ee")
 # a comment, a quoted string (closed by its quote or the end of the line),
 # or a bare word
 _TOKEN_RE = re.compile(r"""#.*|'[^']*'?|"[^"]*"?|\S+""")
@@ -159,14 +170,14 @@ _SPACEGROUP_NUMBER_TAGS = ("_symmetry_int_tables_number", "_space_group_it_numbe
 
 
 def _parse_number(token: str, line_number: int) -> float:
-    m = _NUMBER_RE.fullmatch(token)
-    if m is None:
+    if _NUMBER_RE.fullmatch(token) is None:
         raise MalformedNumber(line_number, token)
-    mantissa, exponent = m.groups()
-    return float(mantissa if exponent is None else f"{mantissa}e{exponent}")
+    return float(_UNCERTAINTY_RE.sub("", token).translate(_D_TO_E))
 
 
 def _tokenize(line: str) -> list[str]:
+    if "#" not in line and "'" not in line and '"' not in line:
+        return line.split()  # the bare words _TOKEN_RE finds
     tokens = []
     for token in _TOKEN_RE.findall(line):
         head = token[0]
@@ -270,6 +281,34 @@ def _element_from_token(token: str) -> int:
     return z
 
 
+def _read_sites(loop: _Loop, sym_col: int, cols: list[int]):
+    """(coordinates, atomic numbers) of a site loop: column by column (one
+    match over all numbers, one lookup per symbol) if every row passes its
+    checks, else row by row, raising the first bad row's first error."""
+    rows = [row for _, row in loop.rows]
+    if set(map(len, rows)) == {len(loop.tags)}:
+        cells = "\n".join([row[c] for row in rows for c in cols])
+        if _NUMBERS_RE.fullmatch(cells):
+            with suppress(UnknownElement):
+                z_of = {token: _element_from_token(token)
+                        for token in {row[sym_col] for row in rows}}
+                # numpy converts each string with float(), as _parse_number does
+                cells = _UNCERTAINTY_RE.sub("", cells).translate(_D_TO_E).split("\n")
+                return (np.array(cells, dtype=np.float64).reshape(-1, 3),
+                        np.array([z_of[row[sym_col]] for row in rows]))
+    coords, numbers = [], []
+    for line, row in loop.rows:
+        if len(row) != len(loop.tags):
+            raise StructureError(
+                f"atom site row on line {line} has {len(row)} cells, "
+                f"expected {len(loop.tags)}")
+        numbers.append(_element_from_token(row[sym_col]))
+        coords.append([_parse_number(row[c], line) for c in cols])
+    if not coords:
+        raise StructureError("atom site loop has no rows")
+    return np.array(coords), np.array(numbers)
+
+
 def parse_cif(text: str) -> CrystalStructure:
     """Parse a P1 CIF with cell parameters and a fractional atom-site loop."""
     scalars, loops = _scan(text)
@@ -301,21 +340,9 @@ def parse_cif(text: str) -> CrystalStructure:
         raise MissingTag("_atom_site_type_symbol")
     cols = [site_loop.tags.index(f"_atom_site_fract_{ax}") for ax in "xyz"]
 
-    coords = []
-    numbers = []
-    for line, row in site_loop.rows:
-        if len(row) != len(site_loop.tags):
-            raise StructureError(
-                f"atom site row on line {line} has {len(row)} cells, "
-                f"expected {len(site_loop.tags)}")
-        numbers.append(_element_from_token(row[sym_col]))
-        coords.append([_parse_number(row[c], line) for c in cols])
-    if not coords:
-        raise StructureError("atom site loop has no rows")
-
     name = scalars.get("_chemical_name_common", (0, ""))[1] or scalars.get(
         "_chemical_formula_sum", (0, ""))[1]
-    return CrystalStructure(lattice, np.array(coords), np.array(numbers), id=name)
+    return CrystalStructure(lattice, *_read_sites(site_loop, sym_col, cols), id=name)
 
 
 def write_cif(structure: CrystalStructure, id: str | None = None) -> str:

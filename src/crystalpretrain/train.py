@@ -220,23 +220,25 @@ class GraphDataset:
 
 
 def load_graph_dataset(manifest: DatasetManifest, graph_cfg: GraphConfig,
-                       n_workers: int = 1) -> GraphDataset:
-    """Parse all structures and build each graph once (augmentation happens
-    per epoch on the cached graphs)."""
-    structures = load_structures(manifest)
+                       n_workers: int = 1, indices=None) -> GraphDataset:
+    """Parse the structures and build each graph once (augmentation happens
+    per epoch on the cached graphs). Given indices, only those CIFs are read
+    and the other graphs are None; every record is kept, and so the splits."""
+    structures = load_structures(manifest if indices is None else DatasetManifest(
+        [manifest.records[int(i)] for i in indices]))
     table = (load_feature_table(graph_cfg.feature_table)
              if graph_cfg.feature_table else None)
-    ordered = [structures[rec.id] for rec in manifest.records]
 
     def build(structure):
         return build_graph(structure, graph_cfg, table)
 
     if n_workers > 1:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            graphs = list(pool.map(build, ordered))
+            graphs = dict(zip(structures, pool.map(build, structures.values())))
     else:
-        graphs = [build(s) for s in ordered]
-    return GraphDataset(records=list(manifest.records), graphs=graphs,
+        graphs = {key: build(s) for key, s in structures.items()}
+    return GraphDataset(records=list(manifest.records),
+                        graphs=[graphs.get(rec.id) for rec in manifest.records],
                         feature_table=table)
 
 
@@ -434,8 +436,9 @@ def pretrain(dataset: GraphDataset, cfg: TrainConfig, out_dir=None) -> TrainResu
 # fine-tuning
 # ---------------------------------------------------------------------------
 
-def finetune_splits(dataset: GraphDataset, cfg: TrainConfig) -> dict[str, np.ndarray]:
-    """The train, val and test index sets that cfg's seed and fractions fix."""
+def finetune_splits(dataset, cfg: TrainConfig) -> dict[str, np.ndarray]:
+    """The train, val and test index sets that cfg's seed and fractions fix
+    for the records of a GraphDataset or a DatasetManifest."""
     return split_dataset(dataset.records, "finetune", cfg.seed,
                          val_fraction=cfg.val_fraction,
                          test_fraction=cfg.test_fraction)

@@ -136,6 +136,25 @@ def test_sum_runs_adds_in_add_at_order(case, columns):
     assert np.array_equal(ad._sum_runs(x, groups, num_segments), expected)
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_runs_group_rows_as_a_stable_sort(seed):
+    # many ties, negative ids included: each run's rows are its id's rows in
+    # row order, as a stable argsort gives them, and runs of one length
+    # share a group in ascending id order
+    gen = np.random.default_rng(seed)
+    ids = gen.integers(-40, 40, size=int(gen.integers(2, 3000))) * int(gen.choice([1, 7]))
+    order = np.argsort(ids, kind="stable")
+    sorted_ids = ids[order]
+    starts = np.flatnonzero(np.diff(sorted_ids, prepend=sorted_ids[0] - 1))
+    lengths = np.diff(starts, append=len(ids))
+    groups = ad._runs(ids)
+    assert [rows.shape[1] for _, rows in groups] == np.unique(lengths).tolist()
+    for (heads, rows), length in zip(groups, np.unique(lengths)):
+        first = starts[lengths == length]
+        assert np.array_equal(heads, sorted_ids[first])
+        assert np.array_equal(rows, order[first[:, None] + np.arange(length)])
+
+
 def test_recording_is_reproducible():
     def run():
         with Tape() as tape:

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import shutil
 import struct
 from dataclasses import fields
 from pathlib import Path
@@ -20,8 +21,9 @@ from crystalpretrain.graphs import GraphConfig
 from crystalpretrain.losses import LossConfig
 from crystalpretrain.model import ModelConfig
 from crystalpretrain.rng import RngStream
+from crystalpretrain import train
 from crystalpretrain.train import (TrainConfig, TrainError, evaluate_checkpoint,
-                                   load_graph_dataset)
+                                   load_graph_dataset, split_dataset)
 
 SYNTH = ["--set", "synth.n_crystals=20", "--set", "synth.max_atoms=4"]
 FAST_TRAIN = [
@@ -460,6 +462,43 @@ def test_embed_quotes_ids_holding_commas(trained, synth_dir, tmp_path):
         header, *rows = csv.reader(fh)
     assert len(rows) == 4
     assert all(len(row) == len(header) and row[0].startswith("syn,") for row in rows)
+
+
+@pytest.mark.parametrize("command, checkpoint", [("evaluate", "ft/best.ckpt"),
+                                                 ("embed", "pre/final.ckpt")])
+def test_scoring_commands_build_only_the_test_split(trained, synth_dir, tmp_path,
+                                                    monkeypatch, command, checkpoint):
+    built = []
+
+    def build_graph(structure, *args):
+        built.append(structure.id)
+        return real(structure, *args)
+
+    real = train.build_graph
+    monkeypatch.setattr(train, "build_graph", build_graph)
+    assert run(["--out", tmp_path, command, synth_dir / "manifest.csv",
+                "--checkpoint", trained / checkpoint]) == 0
+    records = load_manifest(synth_dir / "manifest.csv").records
+    test = split_dataset(records, "finetune", 1)["test"]  # the checkpoints' seed
+    assert built == [records[i].id for i in test]
+
+
+def test_evaluate_reads_only_the_test_split_cifs(trained, tmp_path, synth_dir):
+    data = tmp_path / "data"
+    shutil.copytree(synth_dir, data)
+    records = load_manifest(data / "manifest.csv").records
+    test = set(split_dataset(records, "finetune", 1)["test"].tolist())
+    args = ["evaluate", data / "manifest.csv", "--checkpoint", trained / "ft" / "best.ckpt"]
+    assert run(["--out", tmp_path / "clean", *args]) == 0
+
+    outside = next(i for i in range(len(records)) if i not in test)
+    Path(records[outside].cif_path).write_text("not a CIF\n")
+    assert run(["--out", tmp_path / "outside", *args]) == 0
+    assert (tmp_path / "outside" / "metrics.csv").read_bytes() == \
+        (tmp_path / "clean" / "metrics.csv").read_bytes()
+
+    Path(records[min(test)].cif_path).write_text("not a CIF\n")
+    assert run(["--out", tmp_path / "inside", *args]) == 3
 
 
 def test_evaluate_refuses_a_pretraining_checkpoint(trained, synth_dir, tmp_path, capsys):

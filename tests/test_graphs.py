@@ -218,6 +218,22 @@ def test_neighbors_exactly_at_cutoff_kept():
     assert graph_edges(sc, cfg) == [tuple(e) for e in expected]
 
 
+def test_tie_heavy_supercell_edges_in_lexsort_order():
+    # simple cubic a = 2.5 A tiled 4 x 4 x 4: exact distances, and shells of
+    # 6, 12, 8 and 6 atoms, so a cap of 12 keeps six of twelve tied atoms
+    sc = tiled(CrystalStructure(np.diag([2.5, 2.5, 2.5]), [[0.0, 0.0, 0.0]], [26]), 4)
+    uncapped = brute_force_neighbors(sc, 5.0, 10 ** 6)
+    for cap in (1, 12, 40):
+        src, dst, img, d = neighbor_list(sc, GraphConfig(radius=5.0, max_neighbors=cap))
+        order = np.lexsort((img[:, 2], img[:, 1], img[:, 0], dst, d, src))
+        assert np.array_equal(order, np.arange(len(src)))
+        expected = [e for a in range(sc.n_sites) for e in
+                    [e for e in uncapped if e[0] == a][:cap]]
+        assert list(zip(src.tolist(), dst.tolist(), map(tuple, img.tolist()),
+                        d.tolist())) == [tuple(e) for e in expected]
+    assert len(set(d[src == 0][6:18].tolist())) == 1
+
+
 def test_anchor_short_at_first_radius_searched_again():
     # a dense two-layer slab in a 4 x 4 x 24 A cell, and one atom 7 A above
     # it in the vacuum: within the first-pass radius that atom finds only

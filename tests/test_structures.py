@@ -1,4 +1,6 @@
+import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +9,8 @@ from crystalpretrain.structures import (CrystalStructure, MalformedNumber,
                                         MissingTag, NonP1Symmetry, StructureError,
                                         UnknownElement, lattice_from_parameters,
                                         parse_cif, wrap_frac, write_cif)
-from crystalpretrain.structures import _parse_number, _tokenize
+from crystalpretrain import structures
+from crystalpretrain.structures import _TOKEN_RE, _parse_number, _read_sites, _scan, _tokenize
 from conftest import CUBIC_FE_CIF, random_structure
 
 
@@ -194,3 +197,102 @@ def test_write_then_parse_preserves_parsed_structure():
     again = parse_cif(write_cif(s))
     assert np.allclose(again.lattice, s.lattice, atol=1e-10)
     assert np.allclose(again.frac_coords, s.frac_coords, atol=1e-10)
+
+
+def test_tokenize_splits_bare_lines_as_the_token_regex():
+    # a line without '#', "'" or '"' is split by str.split, which must find the
+    # bare words _TOKEN_RE finds: the same whitespace for every code point
+    for cp in range(0x110000):
+        c = chr(cp)
+        if c not in "#'\"" and not 0xD800 <= cp < 0xE000:
+            line = f"a{c}b {c}"
+            assert _tokenize(line) == _TOKEN_RE.findall(line), hex(cp)
+
+
+# reference reading of a number: the mantissa and exponent groups of the
+# grammar in its first written form, joined as "{mantissa}e{exponent}"
+_OLD_NUMBER_RE = re.compile(r"([+-]?(?:\d+\.?\d*|\.\d+))(?:[eEdD]([+-]?\d+))?(?:\(\d+\))?")
+
+
+def old_number(token):
+    mantissa, exponent = _OLD_NUMBER_RE.fullmatch(token).groups()
+    return float(mantissa if exponent is None else f"{mantissa}e{exponent}")
+
+
+def random_number(gen, digits="0123456789"):
+    """A token of the number grammar: sign, leading or trailing dot,
+    e/E/d/D exponent, (n) uncertainty."""
+    def run(least):
+        return "".join(gen.choice(list(digits), size=int(gen.integers(least, 8))))
+
+    mantissa = [run(1), run(1) + ".", run(1) + "." + run(1), "." + run(1)][gen.integers(4)]
+    token = str(gen.choice(["", "+", "-"])) + mantissa
+    if gen.random() < 0.5:
+        token += str(gen.choice(list("eEdD"))) + str(gen.choice(["", "+", "-"])) + run(1)[:3]
+    if gen.random() < 0.3:
+        token += f"({run(1)})"
+    return token
+
+
+def site_loop_cif(cells):
+    return CUBIC_FE_CIF.split("Fe1 Fe")[0] + "".join(
+        f"Fe{k + 1} Fe {' '.join(row)}\n" for k, row in enumerate(cells))
+
+
+def site_columns(text):
+    _, loops = _scan(text)
+    return _read_sites(loops[0], 1, [2, 3, 4])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_bulk_site_reading_equals_parse_number(seed, monkeypatch):
+    gen = np.random.default_rng(seed)
+    rows = [[random_number(gen) for _ in range(3)] for _ in range(60)]
+    cells = [[f"'{t}'" if gen.random() < 0.2 else t for t in row] for row in rows]
+    expected = np.array([[_parse_number(t, 1) for t in row] for row in rows])
+    assert expected.tobytes() == np.array([[old_number(t) for t in row]
+                                           for row in rows]).tobytes()
+    # ASCII digits are read in bulk, without the row-wise _parse_number
+    with monkeypatch.context() as patch:
+        patch.setattr(structures, "_parse_number", None)
+        coords, numbers = site_columns(site_loop_cif(cells))
+    assert coords.tobytes() == expected.tobytes()
+    assert numbers.dtype == np.int64 and numbers.tolist() == [26] * len(rows)
+
+    # other Unicode digits take the row-wise reading, to the same values
+    wide = [[random_number(gen, "0123456789\u0663\uff13") for _ in range(3)] for _ in range(60)]
+    expected = np.array([[old_number(t) for t in row] for row in wide])
+    assert site_columns(site_loop_cif(wide))[0].tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("rows", list(itertools.permutations((2, 5, 8))))
+def test_first_bad_site_row_raises_its_error(rows):
+    # a bad number, an unknown element and a short row in three of ten rows:
+    # the first of them raises, with the row-wise reading's type and text
+    number_row, element_row, short_row = rows
+    cells = [["0.1", "0.2", f"0.0{k}"] for k in range(10)]
+    cells[number_row][1] = "0.5.5"
+    cells[short_row] = cells[short_row][:2]
+    text = site_loop_cif(cells).replace(f"Fe{element_row + 1} Fe ", f"Qq{element_row + 1} Qq ")
+    line = len(site_loop_cif([]).splitlines()) + min(rows) + 1
+    expected = {
+        number_row: (MalformedNumber, f"malformed number '0.5.5' on line {line}"),
+        element_row: (UnknownElement, "unknown element symbol: 'Qq'"),
+        short_row: (StructureError, f"atom site row on line {line} has 4 cells, expected 5"),
+    }[min(rows)]
+    with pytest.raises(StructureError) as err:
+        parse_cif(text)
+    assert (type(err.value), str(err.value)) == expected
+
+
+def test_site_row_checks_width_then_element_then_numbers():
+    cells = [["0.1", "0.2", "0.3"], ["0.4", "x", "0.6"]]
+    text = site_loop_cif(cells)
+    with pytest.raises(MalformedNumber, match="'x' on line 15"):
+        parse_cif(text)
+    with pytest.raises(UnknownElement, match="'Qq'"):
+        parse_cif(text.replace("Fe2 Fe", "Qq2 Qq"))
+    with pytest.raises(StructureError, match="line 15 has 6 cells"):
+        parse_cif(text.replace("Fe2 Fe", "Qq2 Qq 0.1"))
+    with pytest.raises(StructureError, match="no rows"):
+        parse_cif(site_loop_cif([]))
