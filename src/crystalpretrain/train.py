@@ -104,6 +104,10 @@ class TrainConfig:
             raise ValueError("seed must lie in [0, 2**32)")
         if self.weight_decay < 0:
             raise ValueError("weight_decay must be >= 0")
+        if not (0 <= self.adam_beta1 < 1 and 0 <= self.adam_beta2 < 1):
+            raise ValueError("adam_beta1 and adam_beta2 must lie in [0, 1)")
+        if not self.adam_eps > 0:
+            raise ValueError("adam_eps must be positive")
         if not 0.0 < self.pretrain_eval_fraction < 1.0:
             raise ValueError("pretrain_eval_fraction must lie in (0, 1)")
         if not 0.0 < self.val_fraction < 1.0 or not 0.0 < self.test_fraction < 1.0:
@@ -307,10 +311,11 @@ def _init_params(cfg: TrainConfig, dataset: GraphDataset) -> dict[str, Tensor]:
                        external_feature_width=table_width)
 
 
-def _metadata(cfg: TrainConfig, dataset: GraphDataset, epoch: int, next_epoch: int,
-              **extra) -> dict:
+def _checkpoint(params: dict[str, Tensor], cfg: TrainConfig, dataset: GraphDataset,
+                epoch: int, next_epoch: int, **extra) -> Checkpoint:
+    """params after `epoch` epochs; the rng_cursor names next_epoch to run next."""
     table = dataset.feature_table
-    return {
+    return checkpoint_from_params(params, cfg.model, {
         "phase": cfg.phase,
         "epoch": epoch,
         "loss_kind": cfg.loss.kind,
@@ -322,20 +327,15 @@ def _metadata(cfg: TrainConfig, dataset: GraphDataset, epoch: int, next_epoch: i
         "external_feature_width": table.width if table else None,
         "feature_table_sha256": table.sha256 if table else None,
         **extra,
-    }
+    })
 
 
-def _train(params: dict[str, Tensor], names, train_idx: np.ndarray, cfg: TrainConfig,
-           batch_loss, end_epoch, log: TrainingLog, min_batch: int = 1) -> int:
-    """Adam on `names` over cfg.epochs seeded shuffles of `train_idx`.
-
-    batch_loss(batch_idx, epoch) builds each batch's loss on the tape; batches
-    shorter than min_batch are skipped. Every step logs its loss, and
-    end_epoch(epoch, step) runs after each epoch. Returns the number of steps
-    taken.
-    """
-    state = AdamState.for_params(params, names)
-    step = 0
+def _epochs(params: dict[str, Tensor], adam: AdamState, train_idx: np.ndarray,
+            cfg: TrainConfig, batch_loss, log: TrainingLog, min_batch: int = 1):
+    """Adam on the parameters adam tracks over cfg.epochs seeded shuffles of
+    train_idx. batch_loss(batch_idx, epoch) builds each batch's loss on the
+    tape; batches shorter than min_batch are skipped. Each step logs its loss
+    at step adam.t. Yields each epoch once its steps are done."""
     for epoch in range(cfg.epochs):
         gen = RngStream(cfg.seed, "shuffle", epoch).generator()
         order = train_idx[gen.permutation(len(train_idx))]
@@ -347,14 +347,12 @@ def _train(params: dict[str, Tensor], names, train_idx: np.ndarray, cfg: TrainCo
                 loss = batch_loss(batch_idx, epoch)
                 grads = backward(tape, loss)
             adam_step(params, {n: grads.get(params[n], np.zeros_like(params[n].values))
-                               for n in names}, state,
+                               for n in adam.m}, adam,
                       lr=cfg.lr, beta1=cfg.adam_beta1, beta2=cfg.adam_beta2,
                       eps=cfg.adam_eps, weight_decay=cfg.weight_decay,
                       decoupled=cfg.decoupled_weight_decay)
-            step += 1
-            log.log_loss(step, epoch, cfg.phase, loss.item())
-        end_epoch(epoch, step)
-    return step
+            log.log_loss(adam.t, epoch, cfg.phase, loss.item())
+        yield epoch
 
 
 # ---------------------------------------------------------------------------
@@ -412,20 +410,15 @@ def pretrain(dataset: GraphDataset, cfg: TrainConfig, out_dir=None) -> TrainResu
                   if cfg.loss.needs_labels else None)
         return compute_loss(cfg.loss, z, labels)
 
-    def checkpoint(epoch: int) -> Checkpoint:
-        return checkpoint_from_params(
-            params, cfg.model, _metadata(cfg, dataset, epoch, epoch))
-
-    def end_epoch(epoch: int, step: int):
-        eval_loss = views_loss(eval_idx, epoch, tag="eval-augment").item()
-        log.log_metric(step, epoch, "pretrain", "eval_loss", eval_loss)
-        if out_dir is not None:
-            save_checkpoint(out_dir / f"epoch-{epoch + 1:04d}.ckpt", checkpoint(epoch + 1))
-
+    adam = AdamState.for_params(params, pretrain_param_names(params))
     # a one-crystal batch has no negatives and no batch statistics
-    _train(params, pretrain_param_names(params), train_idx, cfg, views_loss,
-           end_epoch, log, min_batch=2)
-    final = checkpoint(cfg.epochs)
+    for epoch in _epochs(params, adam, train_idx, cfg, views_loss, log, min_batch=2):
+        eval_loss = views_loss(eval_idx, epoch, tag="eval-augment").item()
+        log.log_metric(adam.t, epoch, "pretrain", "eval_loss", eval_loss)
+        if out_dir is not None:
+            save_checkpoint(out_dir / f"epoch-{epoch + 1:04d}.ckpt",
+                            _checkpoint(params, cfg, dataset, epoch + 1, epoch + 1))
+    final = _checkpoint(params, cfg, dataset, cfg.epochs, cfg.epochs)
     if out_dir is not None:
         save_checkpoint(out_dir / "final.ckpt", final)
         log.save(out_dir / "log.csv")
@@ -537,27 +530,22 @@ def finetune(dataset: GraphDataset, ckpt: Checkpoint | None, cfg: TrainConfig,
         t = Tensor(((raw - t_mean) / t_std)[:, None])
         return ad.mean(ad.power(ad.sub(out, t), 2))
 
+    adam = AdamState.for_params(params, finetune_param_names(params))
     best_params, best_epoch = clone_params(params), 0
     best_val = _score(params, dataset, val_idx, cfg, t_mean, t_std)
     log.log_metric(0, 0, "finetune", f"val_{metric}", best_val)
-
-    def track_best(epoch: int, step: int):
-        nonlocal best_params, best_epoch, best_val
+    for epoch in _epochs(params, adam, train_idx, cfg, batch_loss, log):
         current = _score(params, dataset, val_idx, cfg, t_mean, t_std)
-        log.log_metric(step, epoch, "finetune", f"val_{metric}", current)
+        log.log_metric(adam.t, epoch, "finetune", f"val_{metric}", current)
         if current > best_val if classification else current < best_val:
             best_params, best_epoch, best_val = clone_params(params), epoch + 1, current
-
-    step = _train(params, finetune_param_names(params), train_idx, cfg, batch_loss,
-                  track_best, log)
     test = _score(best_params, dataset, test_idx, cfg, t_mean, t_std)
-    log.log_metric(step, cfg.epochs, "finetune", f"test_{metric}", test)
+    log.log_metric(adam.t, cfg.epochs, "finetune", f"test_{metric}", test)
     metrics = Metrics(**{metric: test}, val_metric=best_val, best_epoch=best_epoch)
 
-    final = checkpoint_from_params(best_params, cfg.model, _metadata(
-        cfg, dataset, best_epoch, cfg.epochs, task=cfg.task, target_mean=t_mean,
-        target_std=t_std, val_fraction=cfg.val_fraction,
-        test_fraction=cfg.test_fraction))
+    final = _checkpoint(best_params, cfg, dataset, best_epoch, cfg.epochs, task=cfg.task,
+                        target_mean=t_mean, target_std=t_std,
+                        val_fraction=cfg.val_fraction, test_fraction=cfg.test_fraction)
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -162,13 +162,19 @@ def test_readme_keys_are_keys():
     assert listed and set(listed) <= set(KEY_SPECS)
 
 
-def test_invalid_value_exits_2(synth_dir):
+def test_invalid_value_exits_2(synth_dir, tmp_path):
     assert run(["--set", "loss.kind=simclr", "pretrain",
                 synth_dir / "manifest.csv"]) == 2
     assert run(["--set", "train.batch_size=one", "pretrain",
                 synth_dir / "manifest.csv"]) == 2
     assert run(["--set", "train.decoupled_weight_decay=maybe", "pretrain",
                 synth_dir / "manifest.csv"]) == 2
+    # Adam's betas lie in [0, 1) and its eps is positive, refused before ingest
+    for setting in ("adam_beta1=1", "adam_beta2=1", "adam_eps=0", "adam_beta1=1.5",
+                    "adam_beta1=-0.5", "adam_eps=-1"):
+        assert run(["--out", tmp_path, *FAST_TRAIN, "--set", f"train.{setting}",
+                    "pretrain", synth_dir / "manifest.csv"]) == 2, setting
+    assert not any(tmp_path.iterdir())
 
 
 def test_missing_manifest_exits_3(tmp_path):

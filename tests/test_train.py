@@ -1,4 +1,6 @@
+import csv
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -329,6 +331,57 @@ def test_one_crystal_last_batch_skipped_by_pretraining_only():
         for epoch in range(2):
             losses = [r for r in result.log.rows if r[1] == epoch and r[3] != ""]
             assert len(losses) == rows_per_epoch
+
+
+# ---------------------------------------------------------------------------
+# the epoch loop's contract: what the logs and checkpoints of a run say
+# ---------------------------------------------------------------------------
+
+def test_pretrain_epoch_checkpoint_is_the_shorter_runs_final(tmp_path):
+    dataset = synthetic_graph_dataset(32, seed=17)
+    pretrain(dataset, small_config(epochs=2), out_dir=tmp_path / "two")
+    pretrain(dataset, small_config(epochs=1), out_dir=tmp_path / "one")
+    two, one = tmp_path / "two", tmp_path / "one"
+    assert (two / "epoch-0001.ckpt").read_bytes() == (one / "final.ckpt").read_bytes()
+    assert (two / "epoch-0002.ckpt").read_bytes() == (two / "final.ckpt").read_bytes()
+
+
+def test_log_metric_rows_sit_at_the_steps_taken_before_them(tmp_path):
+    dataset = synthetic_graph_dataset(40, seed=18)
+    cfg = small_config(epochs=3, batch_size=8)
+    pretrain(dataset, cfg, out_dir=tmp_path / "pretrain")
+    finetune(dataset, None, cfg, out_dir=tmp_path / "finetune")
+    for phase in ("pretrain", "finetune"):
+        with open(tmp_path / phase / "log.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        n_loss, metrics = 0, []
+        for row in rows:
+            n_loss += row["loss"] != ""
+            assert int(row["step"]) == n_loss
+            if row["metric_name"]:
+                metrics.append((row["metric_name"], int(row["step"]), int(row["epoch"])))
+        if phase == "pretrain":
+            assert [(m[0], m[2]) for m in metrics] == [("eval_loss", e) for e in range(3)]
+        else:
+            assert metrics[0] == ("val_mae", 0, 0)
+            assert [(m[0], m[2]) for m in metrics[1:-1]] == [("val_mae", e) for e in range(3)]
+            assert metrics[-1] == ("test_mae", n_loss, 3)
+
+
+def test_finetune_keeps_the_first_best_epoch():
+    # dataset seed 16, batch 5, lr 3e-3, 4 epochs: the val MAE is lowest
+    # after epoch 2, so the best is neither the start nor the end
+    dataset = synthetic_graph_dataset(40, seed=16)
+    cfg = small_config(epochs=4, batch_size=5, lr=3e-3)
+    result = finetune(dataset, None, cfg)
+    val = [(r[1], float(r[5])) for r in result.log.rows if r[4] == "val_mae"]
+    first_min = min(range(len(val)), key=lambda k: val[k][1])
+    assert result.metrics.val_metric == val[first_min][1]
+    assert result.metrics.best_epoch == (val[first_min][0] + 1 if first_min else 0) == 2
+    shorter = finetune(dataset, None, replace(cfg, epochs=result.metrics.best_epoch))
+    assert shorter.metrics.best_epoch == 2
+    assert ({n: a.tobytes() for n, a in result.checkpoint.tensors.items()}
+            == {n: a.tobytes() for n, a in shorter.checkpoint.tensors.items()})
 
 
 def test_evaluate_checkpoint_matches_finetune_test_metric():
