@@ -32,8 +32,8 @@ class AugmentConfig:
             raise ValueError("atom_mask_fraction must lie in [0, 1]")
         if not 0.0 <= self.edge_mask_fraction <= 1.0:
             raise ValueError("edge_mask_fraction must lie in [0, 1]")
-        if self.gndn_delta < 0.0:
-            raise ValueError("gndn_delta must be >= 0")
+        if not 0.0 <= self.gndn_delta < math.inf:
+            raise ValueError("gndn_delta must be >= 0 and finite")
 
 
 def mask_count(fraction: float, n: int) -> int:

@@ -112,12 +112,8 @@ class RunConfig:
             raise ConfigError(f"invalid {section} configuration: {exc}") from None
 
     def train_config(self, phase: str) -> TrainConfig:
-        cfg = self.build("train", **{s: self.build(s) for s in
-                                     ("loss", "augment", "graph", "model")})
-        try:
-            return cfg.resolved(phase)
-        except ValueError as exc:
-            raise ConfigError(f"invalid train configuration: {exc}") from None
+        subs = {s: self.build(s) for s in ("loss", "augment", "graph", "model")}
+        return self.build("train", **subs).resolved(phase)
 
 
 def _gather_run_config(args) -> RunConfig:
@@ -215,7 +211,6 @@ def _reconcile_with_checkpoint(rc: RunConfig, cfg: TrainConfig, ckpt,
     try:  # an unknown key, a value out of range or of the wrong type
         cfg = replace(cfg, model=replace(cfg.model, **adopted["model"]),
                       graph=replace(cfg.graph, **adopted["graph"]), **adopted["train"])
-        cfg._validate()
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"checkpoint settings are invalid: {exc}") from None
     if ckpt.metadata.get("edge_feature_width") not in (None, cfg.graph.n_centers):

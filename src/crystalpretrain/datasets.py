@@ -113,6 +113,8 @@ def load_manifest(path) -> DatasetManifest:
         try:
             label = int(cell["surrogate_label"]) if cell["surrogate_label"] else None
             target = float(cell["target"]) if cell["target"] else None
+            if target is not None and not math.isfinite(target):
+                raise ValueError(f"target {cell['target']!r} is not finite")
         except ValueError as exc:
             raise ManifestError(f"{where}: {exc}") from None
         cif = Path(cell["cif_path"])
@@ -171,8 +173,8 @@ class SyntheticConfig:
             raise ValueError("n_crystals must be >= n_classes")
         if self.max_atoms < 2:
             raise ValueError("max_atoms must be >= 2")
-        if self.target_noise < 0:
-            raise ValueError("target_noise must be >= 0")
+        if not 0 <= self.target_noise < math.inf:
+            raise ValueError("target_noise must be >= 0 and finite")
         if not 0 <= self.seed < 2 ** 32:
             raise ValueError("seed must lie in [0, 2**32)")
 

@@ -65,14 +65,14 @@ class GraphConfig:
     feature_table: str | None = None
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
+        if not 0 < self.radius < math.inf:
+            raise ValueError("radius must be positive and finite")
         if self.max_neighbors < 1:
             raise ValueError("max_neighbors must be >= 1")
-        if self.mu_step <= 0 or self.sigma <= 0:
-            raise ValueError("mu_step and sigma must be positive")
-        if self.mu_max <= self.mu_min:
-            raise ValueError("mu_max must exceed mu_min")
+        if not (0 < self.mu_step < math.inf and 0 < self.sigma < math.inf):
+            raise ValueError("mu_step and sigma must be positive and finite")
+        if not -math.inf < self.mu_min < self.mu_max < math.inf:
+            raise ValueError("mu_min and mu_max must be finite, mu_max above mu_min")
 
     @property
     def n_centers(self) -> int:
@@ -316,6 +316,8 @@ def load_feature_table(path) -> FeatureTable:
             raise GraphError(f"{path}:{reader.line_num}: {exc}") from None
         if z in rows:
             raise GraphError(f"{path}:{reader.line_num}: a second row for z={z}")
+        if not np.isfinite(values).all():
+            raise GraphError(f"{path}:{reader.line_num}: a feature of z={z} is not finite")
         rows[z] = values
     return FeatureTable(rows=rows, width=width, sha256=hashlib.sha256(data).hexdigest())
 

@@ -19,6 +19,7 @@ they are differentiable end to end.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,10 +66,10 @@ class LossConfig:
     def __post_init__(self):
         if self.kind not in LOSS_KINDS:
             raise ValueError(f"unknown loss kind {self.kind!r}")
-        if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
-        if self.lam < 0:
-            raise ValueError("lambda must be >= 0")
+        if not 0 < self.temperature < math.inf:
+            raise ValueError("temperature must be positive and finite")
+        if not 0 <= self.lam < math.inf:
+            raise ValueError("lambda must be >= 0 and finite")
         if self.bt_mode not in BT_MODES:
             raise ValueError(f"unknown bt_mode {self.bt_mode!r}")
         if self.sbt_scale not in SBT_SCALES:

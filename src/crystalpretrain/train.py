@@ -8,6 +8,7 @@ sample, view), so the worker count never changes results.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -74,40 +75,25 @@ class TrainConfig:
     test_fraction: float = 0.20
     n_workers: int = 1
 
-    def resolved(self, phase: str | None = None) -> "TrainConfig":
-        """Fill phase-dependent defaults and validate."""
-        phase = phase or self.phase
-        if phase not in PHASES:
-            raise ValueError(f"unknown phase {phase!r}")
-        batch_size = self.batch_size
-        if batch_size is None:
-            if phase == "finetune":
-                batch_size = 128
-            else:
-                batch_size = 256 if self.loss.kind in ("nt-xent", "supcon") else 128
-        epochs = self.epochs if self.epochs is not None else (15 if phase == "pretrain" else 200)
-        lr = self.lr if self.lr is not None else (1e-5 if phase == "pretrain" else 1e-3)
-        cfg = replace(self, phase=phase, batch_size=batch_size, epochs=epochs, lr=lr)
-        cfg._validate()
-        return cfg
-
-    def _validate(self):
+    def __post_init__(self):
+        if self.phase not in PHASES:
+            raise ValueError(f"unknown phase {self.phase!r}")
         if self.task not in TASKS:
             raise ValueError(f"unknown task {self.task!r}")
-        if self.batch_size < 2:
+        if self.batch_size is not None and self.batch_size < 2:
             raise ValueError("batch_size must be >= 2")
-        if self.epochs < 1:
+        if self.epochs is not None and self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
+        if self.lr is not None and not 0 < self.lr < math.inf:
+            raise ValueError("lr must be positive and finite")
         if not 0 <= self.seed < 2 ** 32:
             raise ValueError("seed must lie in [0, 2**32)")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be >= 0")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ValueError("weight_decay must be >= 0 and finite")
         if not (0 <= self.adam_beta1 < 1 and 0 <= self.adam_beta2 < 1):
             raise ValueError("adam_beta1 and adam_beta2 must lie in [0, 1)")
-        if not self.adam_eps > 0:
-            raise ValueError("adam_eps must be positive")
+        if not 0 < self.adam_eps < math.inf:
+            raise ValueError("adam_eps must be positive and finite")
         if not 0.0 < self.pretrain_eval_fraction < 1.0:
             raise ValueError("pretrain_eval_fraction must lie in (0, 1)")
         if not 0.0 < self.val_fraction < 1.0 or not 0.0 < self.test_fraction < 1.0:
@@ -116,6 +102,15 @@ class TrainConfig:
             raise ValueError("val_fraction + test_fraction must stay below 1")
         if self.n_workers < 1:
             raise ValueError("n_workers must be >= 1")
+
+    def resolved(self, phase: str) -> "TrainConfig":
+        """This config for phase, its unset batch_size, epochs and lr filled
+        with the phase's defaults (replace checks the result)."""
+        contrastive = phase == "pretrain" and self.loss.kind in ("nt-xent", "supcon")
+        batch = self.batch_size if self.batch_size is not None else (256 if contrastive else 128)
+        epochs = self.epochs if self.epochs is not None else (15 if phase == "pretrain" else 200)
+        lr = self.lr if self.lr is not None else (1e-5 if phase == "pretrain" else 1e-3)
+        return replace(self, phase=phase, batch_size=batch, epochs=epochs, lr=lr)
 
 
 # ---------------------------------------------------------------------------

@@ -175,6 +175,16 @@ def test_invalid_value_exits_2(synth_dir, tmp_path):
         assert run(["--out", tmp_path, *FAST_TRAIN, "--set", f"train.{setting}",
                     "pretrain", synth_dir / "manifest.csv"]) == 2, setting
     assert not any(tmp_path.iterdir())
+    # every float setting must be finite; synth.* is built only by synth
+    float_keys = [key for key, spec in KEY_SPECS.items() if spec[2] is float]
+    assert len(float_keys) >= 19
+    manifest = synth_dir / "manifest.csv"
+    for key in float_keys:
+        command = ["synth"] if key.startswith("synth.") else ["pretrain", manifest]
+        for value in ("nan", "inf", "-inf"):
+            setting = f"{key}={value}"
+            assert run(["--out", tmp_path, *FAST_TRAIN, "--set", setting, *command]) == 2, setting
+            assert not any(tmp_path.iterdir()), setting
 
 
 def test_missing_manifest_exits_3(tmp_path):
@@ -194,6 +204,8 @@ BAD_INPUTS = {
     "manifest-short-row": ("manifest", "syn-x,{cif},0\n"),
     "manifest-label-not-int": ("manifest", "syn-x,{cif},one,1.5,\n"),
     "manifest-target-not-number": ("manifest", "syn-x,{cif},0,n/a,\n"),
+    "manifest-target-nan": ("manifest", "syn-x,{cif},0,nan,\n"),
+    "manifest-target-inf": ("manifest", "syn-x,{cif},0,inf,\n"),
     "manifest-not-utf8": ("manifest", "syn-\udcff,{cif},0,1.5,\n"),
     "checkpoint-header-not-utf8": ("checkpoint", b"\xff\xfe{}"),
     "checkpoint-header-not-json": ("checkpoint", b"{tensors"),
@@ -208,6 +220,8 @@ BAD_INPUTS = {
         "checkpoint", _checkpoint_header(metadata={"graph_config": {"bogus": 1}})),
     "checkpoint-graph-config-invalid-value": (
         "checkpoint", _checkpoint_header(metadata={"graph_config": {"radius": -1.0}})),
+    "checkpoint-graph-config-nan": (  # json.dumps writes NaN
+        "checkpoint", _checkpoint_header(metadata={"graph_config": {"radius": float("nan")}})),
     "checkpoint-task-unknown": ("checkpoint", _checkpoint_header(metadata={"task": "foo"})),
     "checkpoint-test-fraction-invalid-value": (
         "checkpoint", _checkpoint_header(metadata={"test_fraction": 1.5})),
@@ -231,6 +245,7 @@ BAD_INPUTS = {
     "checkpoint-metadata-not-dict": ("checkpoint", _checkpoint_header(metadata=[])),
     "table-z-not-int": ("table", "z,f0\nFe,1.0\n"),
     "table-feature-not-number": ("table", "z,f0\n26,heavy\n"),
+    "table-feature-nan": ("table", "z,f0\n26,nan\n"),
     "table-not-utf8": ("table", "z,f0\n26,1.0\udcff\n"),
     "cif-not-utf8": ("cif", "data_x\n_cell_length_a 4.0\udcff\n"),
 }

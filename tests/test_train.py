@@ -443,6 +443,30 @@ def test_seed_must_fit_32_bits(seed, ok):
         SyntheticConfig(n_crystals=4, seed=seed)
 
 
+@pytest.mark.parametrize("cls,field", [
+    (GraphConfig, "radius"), (GraphConfig, "mu_min"), (GraphConfig, "mu_max"),
+    (GraphConfig, "mu_step"), (GraphConfig, "sigma"), (AugmentConfig, "gndn_delta"),
+    (LossConfig, "temperature"), (LossConfig, "lam"), (SyntheticConfig, "target_noise"),
+    (TrainConfig, "lr"), (TrainConfig, "weight_decay"), (TrainConfig, "adam_eps")])
+def test_configs_refuse_non_finite_when_built_or_replaced(cls, field):
+    # no later step has to remember a check: the constructor and replace run it
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            cls(**{field: value})
+        with pytest.raises(ValueError):
+            replace(cls(), **{field: value})
+
+
+def test_train_config_checks_itself_before_resolved():
+    with pytest.raises(ValueError, match="batch_size"):
+        TrainConfig(batch_size=1)
+    with pytest.raises(ValueError, match="unknown phase"):
+        TrainConfig(phase="warmup")
+    with pytest.raises(ValueError, match="unknown phase"):
+        TrainConfig().resolved("warmup")
+    assert TrainConfig().batch_size is None  # unset until a phase is resolved
+
+
 def test_train_config_rejects_unknown_task():
     with pytest.raises(ValueError, match="unknown task 'ranking'"):
         TrainConfig(task="ranking").resolved("finetune")
