@@ -11,6 +11,10 @@ Usage:
     with Tape() as tape:
         loss = ...ops on Tensors...
         grads = backward(tape, loss)
+
+A tape is differentiated once, and a second backward raises TapeConsumed:
+gated_conv's backward writes its gradient over the arrays its forward
+saved, so that a training step's backward allocates no edge-sized array.
 """
 
 from __future__ import annotations
@@ -39,6 +43,12 @@ class NotScalar(AutodiffError):
 
 class DetachedLoss(AutodiffError):
     pass
+
+
+class TapeConsumed(AutodiffError):
+    def __init__(self):
+        super().__init__("backward already ran on this tape: the arrays its ops "
+                         "saved now hold gradients")
 
 
 class EmptySegment(AutodiffError):
@@ -86,6 +96,7 @@ class Tape:
 
     def __init__(self):
         self.records: list[_Record] = []
+        self.consumed = False
         self._produced: set[int] = set()
         self._leaves: dict[int, Tensor] = {}
 
@@ -129,12 +140,17 @@ def backward(tape: Tape, loss: Tensor) -> dict[Tensor, np.ndarray]:
     """Reverse accumulation over the tape in reverse record order.
 
     Returns gradients keyed by leaf tensor; leaves the loss never reached get
-    zeros.
+    zeros. Runs once per tape: an op may write its gradient over the arrays
+    it saved (gated_conv does), so a second pass would read gradients where
+    it expects activations, and raises TapeConsumed instead.
     """
+    if tape.consumed:
+        raise TapeConsumed()
     if loss.size != 1:
         raise NotScalar(f"loss has shape {loss.shape}")
     if id(loss) not in tape._produced:
         raise DetachedLoss("loss was not produced on this tape")
+    tape.consumed = True
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.values)}
     for rec in reversed(tape.records):
         g_out = grads.get(id(rec.output))
@@ -320,12 +336,25 @@ def gated_conv(v, e, src, dst, gate_weight, gate_bias, self_weight, self_bias) -
     The edge-sized work runs in blocks of _EDGE_BLOCK edge rows: each block's
     pre-activation is built in one reused buffer and turned, by in-place
     ufuncs in the same operation order as whole-array expressions, into
-    rows of the gate, the message and, when a tape records the op, the
-    filter's sigmoid. The backward keeps those three (m, h) arrays, not the
-    pre-activation; it fills the joined (m, 2h) pre-activation gradient
-    block by block, then sums it per anchor and per neighbour and applies
-    the joined matmuls over all edges at once. Blocking changes no bit of
-    the output or of any gradient.
+    rows of the gate and the message and, when a tape records the op, the
+    filter's sigmoid. Without a tape the gate lives only in a block buffer;
+    with one, the backward keeps the gate, the message and the filter's
+    sigmoid as three contiguous (m, h) arrays, not the pre-activation.
+
+    The backward writes the pre-activation gradient's gate half over the
+    message and its filter half over the filter's sigmoid, block by block,
+    so it allocates no edge-sized array and the tape cannot be
+    differentiated twice. Each half is reduced on its own: summed per
+    anchor, per neighbour and over all edges, and multiplied by the edge
+    features; the node-side sums are joined again, so the node-sized
+    matmuls stay the joined ones. Blocking changes no bit, and neither does
+    the split at the default sizes (h = 64, k = 41). At other sizes BLAS may
+    take another kernel for a half's product with the edge features than
+    for the joined one (OpenBLAS takes its small-matrix kernel, e.g. at
+    h = 16 and about a thousand edges), and numpy sums a single column
+    (h = 1) pairwise: the weight gradients then move in the last bits. The
+    gradient of e, which the encoder never needs, is the sum of the two
+    halves' products.
     """
     v, e, *weights = map(_as_tensor, (v, e, gate_weight, gate_bias, self_weight, self_bias))
     src, dst = np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)
@@ -345,43 +374,49 @@ def gated_conv(v, e, src, dst, gate_weight, gate_bias, self_weight, self_bias) -
     w_a, w_b, w_e = w[:h], w[h:2 * h], w[2 * h:]
     node_a, node_b = v.values @ w_a, v.values @ w_b
     taped = _active_tape() is not None and any(t.requires_grad for t in (v, e, *weights))
-    gate, msg = np.empty((m, h)), np.empty((m, h))
+    msg = np.empty((m, h))
+    gate = np.empty((m if taped else min(m, _EDGE_BLOCK), h))
     filt = np.empty((m, h)) if taped else None  # sigmoid of the filter pre-activation
     pre, rows = np.empty((2, min(m, _EDGE_BLOCK), 2 * h))
     tail = np.empty((min(m, _EDGE_BLOCK), h))
     for lo in range(0, m, _EDGE_BLOCK):
         hi = min(lo + _EDGE_BLOCK, m)
         p, r = pre[:hi - lo], rows[:hi - lo]
+        gt = gate[lo:hi] if taped else gate[:hi - lo]
         np.matmul(e.values[lo:hi], w_e, out=p)
         p += b
         p += np.take(node_a, src[lo:hi], axis=0, out=r, mode="wrap")
         p += np.take(node_b, dst[lo:hi], axis=0, out=r, mode="wrap")
-        _sigmoid(p[:, :h], out=gate[lo:hi])
+        _sigmoid(p[:, :h], out=gt)
         _softplus(p[:, h:], out=msg[lo:hi], scratch=tail[:hi - lo])
-        msg[lo:hi] *= gate[lo:hi]
+        msg[lo:hi] *= gt
         if taped:
             _sigmoid(p[:, h:], out=filt[lo:hi])
     by_src = _runs(src)
 
     def backward_fn(g):
-        g_pre = np.empty((m, 2 * h))
+        # the pre-activation gradient's gate half, g_msg * msg * (1 - gate),
+        # is written over msg and its filter half, g_msg * gate * filt, over
+        # filt, left to right as whole-array expressions would compute them
         g_msg, tmp = np.empty((2, min(m, _EDGE_BLOCK), h))
         for lo in range(0, m, _EDGE_BLOCK):
             hi = min(lo + _EDGE_BLOCK, m)
             gm, t = g_msg[:hi - lo], tmp[:hi - lo]
             np.take(g, src[lo:hi], axis=0, out=gm, mode="wrap")
-            # [g_msg * msg * (1 - gate), g_msg * gate * filt], left to right
-            np.multiply(gm, msg[lo:hi], out=g_pre[lo:hi, :h])
-            g_pre[lo:hi, :h] *= np.subtract(1.0, gate[lo:hi], out=t)
+            msg[lo:hi] *= gm
+            msg[lo:hi] *= np.subtract(1.0, gate[lo:hi], out=t)
             np.multiply(gm, gate[lo:hi], out=t)
-            np.multiply(t, filt[lo:hi], out=g_pre[lo:hi, h:])
-        g_src = _sum_runs(g_pre, by_src, n)
-        g_dst = _sum_runs(g_pre, _runs(dst), n)
-        g_w = np.concatenate([v.values.T @ g_src, v.values.T @ g_dst, e.values.T @ g_pre])
-        g_b = g_pre.sum(axis=0, keepdims=True)
+            filt[lo:hi] *= t
+        g_gate, g_filt = msg, filt
+        g_src, g_dst = (np.concatenate([_sum_runs(g_gate, runs, n), _sum_runs(g_filt, runs, n)],
+                                       axis=1) for runs in (by_src, _runs(dst)))
+        g_node = np.concatenate([v.values.T @ g_src, v.values.T @ g_dst])
         return (g + g_src @ w_a.T + g_dst @ w_b.T,
-                g_pre @ w_e.T if e.requires_grad else None,
-                g_w[:, :h], g_b[:, :h], g_w[:, h:], g_b[:, h:])
+                g_gate @ w_e[:, :h].T + g_filt @ w_e[:, h:].T if e.requires_grad else None,
+                np.concatenate([g_node[:, :h], e.values.T @ g_gate]),
+                g_gate.sum(axis=0, keepdims=True),
+                np.concatenate([g_node[:, h:], e.values.T @ g_filt]),
+                g_filt.sum(axis=0, keepdims=True))
 
     return _make("gated_conv", v.values + _sum_runs(msg, by_src, n),
                  (v, e, *weights), backward_fn)

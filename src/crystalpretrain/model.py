@@ -6,9 +6,10 @@ i -> j, z = [v_i, v_j, e_ij] passes through a sigmoid gate and a softplus
 filter, and the gated messages are summed onto the anchor i and added to v_i
 (residual update). The layer runs as one autodiff op, autodiff.gated_conv,
 which applies the weights to the node rows before gathering them onto the
-edges, and runs the edge-sized work in blocks of edge rows that fit in L2;
-its backward keeps the gate, the message and the filter's sigmoid per edge,
-not the pre-activation. The parameters keep their per-gate names and shapes.
+edges, and runs the edge-sized work in blocks of edge rows that fit in L2.
+A training step keeps the gate, the message and the filter's sigmoid per
+edge, not the pre-activation, and the backward writes its gradient over the
+last two. The parameters keep their per-gate names and shapes.
 Mean pooling over each crystal's nodes yields the crystal vector.
 """
 

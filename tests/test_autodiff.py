@@ -3,8 +3,8 @@ import pytest
 
 from crystalpretrain import autodiff as ad
 from crystalpretrain.autodiff import (DetachedLoss, EmptySegment, NonFinite,
-                                      NotScalar, ShapeMismatch, Tape, Tensor,
-                                      backward, grad_check)
+                                      NotScalar, ShapeMismatch, Tape, TapeConsumed,
+                                      Tensor, backward, grad_check)
 
 
 def leaf(values, seed=None):
@@ -57,6 +57,19 @@ def test_backward_errors():
             backward(tape, y)
         with pytest.raises(DetachedLoss):
             backward(tape, Tensor(1.0))
+
+
+def test_backward_runs_once_per_tape():
+    # an op may write its gradient over the arrays it saved, so a second
+    # pass is refused; the records stay on the tape
+    with Tape() as tape:
+        x = leaf([2.0, -3.0])
+        loss = ad.sum_(ad.mul(x, x))
+        grads = backward(tape, loss)
+        with pytest.raises(TapeConsumed, match="hold gradients"):
+            backward(tape, loss)
+    assert grads[x].tolist() == [4.0, -6.0]
+    assert len(tape.records) == 2
 
 
 def test_unreached_leaf_gets_zeros():
