@@ -3,7 +3,7 @@ prediction: CIF parsing, periodic crystal graphs, graph augmentations, a
 gated graph-convolution encoder on a small autodiff core, four pretraining
 objectives, and full training loops."""
 
-from .augment import AugmentConfig, gndn, make_views
+from .augment import AugmentConfig, make_views
 from .autodiff import Tape, Tensor, backward, grad_check
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .datasets import (DatasetManifest, ManifestRecord, SyntheticConfig,

@@ -52,28 +52,6 @@ def _masked(already: np.ndarray, fraction: float, rng: RngStream) -> np.ndarray:
     return out
 
 
-def _noised(distances: np.ndarray, edge_masked: np.ndarray, delta: float,
-            rng: RngStream, graph_cfg: GraphConfig) -> tuple[np.ndarray, np.ndarray]:
-    """distances plus independent uniform noise in [-delta, delta], and their
-    Gaussian features with the edge_masked rows zero."""
-    noised = distances + rng.generator().uniform(-delta, delta, size=len(distances))
-    edge_features = gaussian_expand(noised, graph_cfg)
-    edge_features[edge_masked] = 0.0
-    return noised, edge_features
-
-
-def gndn(graph: CrystalGraph, delta: float, rng: RngStream,
-         graph_cfg: GraphConfig) -> CrystalGraph:
-    """Add independent uniform noise in [-delta, delta] to each edge distance.
-
-    Edge features are recomputed from the noised distances; feature-masked
-    edges stay zero. Coordinates and topology are untouched.
-    """
-    distances, edge_features = _noised(graph.distances, graph.edge_masked, delta, rng,
-                                       graph_cfg)
-    return replace(graph, distances=distances, edge_features=edge_features)
-
-
 def make_views(graph: CrystalGraph, cfg: AugmentConfig,
                streams: tuple[RngStream, RngStream],
                graph_cfg: GraphConfig) -> tuple[CrystalGraph, CrystalGraph]:
@@ -84,8 +62,10 @@ def make_views(graph: CrystalGraph, cfg: AugmentConfig,
                               stream.child("atom-mask"))
         edge_masked = _masked(graph.edge_masked, cfg.edge_mask_fraction,
                               stream.child("edge-mask"))
-        distances, edge_features = _noised(graph.distances, edge_masked, cfg.gndn_delta,
-                                           stream.child("gndn"), graph_cfg)
+        distances = graph.distances + stream.child("gndn").generator().uniform(
+            -cfg.gndn_delta, cfg.gndn_delta, size=len(graph.distances))
+        edge_features = gaussian_expand(distances, graph_cfg)
+        edge_features[edge_masked] = 0.0
         views.append(replace(graph, distances=distances, edge_features=edge_features,
                              node_masked=node_masked, edge_masked=edge_masked))
     return views[0], views[1]

@@ -153,7 +153,7 @@ def backward(tape: Tape, loss: Tensor) -> dict[Tensor, np.ndarray]:
     tape.consumed = True
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.values)}
     for rec in reversed(tape.records):
-        g_out = grads.get(id(rec.output))
+        g_out = grads.pop(id(rec.output), None)  # every later record has added to it
         if g_out is None:
             continue
         for tensor, g in zip(rec.inputs, rec.backward_fn(g_out)):

@@ -14,6 +14,7 @@ Exit codes: 0 success, 2 configuration/validation error, 3 data/IO error,
 from __future__ import annotations
 
 import argparse
+import io
 import sys
 from dataclasses import asdict, fields, replace
 from pathlib import Path
@@ -23,16 +24,16 @@ import numpy as np
 from .augment import AugmentConfig
 from .autodiff import NonFinite, ShapeMismatch
 from .checkpoint import CheckpointError, load_checkpoint, write_csv
-from .datasets import (DatasetManifest, ManifestError, PlacementFailure,
-                       SyntheticConfig, element_frequencies,
-                       generate_synthetic_dataset, load_manifest, load_structures,
-                       shannon_entropy, write_dataset)
+from .datasets import (ManifestError, PlacementFailure, SyntheticConfig,
+                       element_frequencies, generate_synthetic_dataset, load_manifest,
+                       load_structures, shannon_entropy, write_dataset)
 from .graphs import GraphConfig, GraphError
-from .losses import LossConfig
-from .model import ModelConfig, project
-from .structures import StructureError
+from .losses import LossConfig, LossError
+from .model import ModelConfig, encoder_param_names, pretrain_param_names, project
+from .structures import StructureError, decode_utf8
 from .train import (Metrics, TrainConfig, TrainError, evaluate_checkpoint, finetune,
-                    finetune_splits, forward, load_graph_dataset, pretrain, view_pair)
+                    finetune_splits, forward, load_graph_dataset, load_params, pretrain,
+                    view_pair)
 
 
 class ConfigError(Exception):
@@ -77,15 +78,16 @@ KEY_SPECS = _key_specs()
 
 def read_config_file(path) -> dict[str, str]:
     pairs: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
-            key, value = line.split("=", 1)
-            pairs[key.strip()] = value.strip()
+    # newline=None splits lines at \n, \r\n and \r, as reading in text mode does
+    text = io.StringIO(decode_utf8(Path(path).read_bytes(), path, ConfigError), newline=None)
+    for lineno, raw in enumerate(text, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
+        key, value = line.split("=", 1)
+        pairs[key.strip()] = value.strip()
     return pairs
 
 
@@ -186,29 +188,29 @@ def _reconcile_with_checkpoint(rc: RunConfig, cfg: TrainConfig, ckpt,
     """
     if ckpt is None:
         return cfg
-    graph = dict(ckpt.metadata.get("graph_config") or {})
-    # older checkpoints also stored a node_feature_mode, under which
-    # learned-embedding ignored any feature_table
-    if graph.pop("node_feature_mode", None) == "learned-embedding":
-        graph["feature_table"] = None
     split = ("seed", "val_fraction", "test_fraction", "task") if adopt_split else ()
-    stored = {"model": asdict(ckpt.model_config), "graph": graph,
-              "train": {attr: ckpt.metadata[attr] for attr in split
-                        if ckpt.metadata.get(attr) is not None}}
     explicit = {KEY_SPECS[key][:2] for key in rc.provided}
-    adopted = {section: {} for section in stored}
-    for section, values in stored.items():
-        current = cfg if section == "train" else getattr(cfg, section)
-        for attr, value in values.items():
-            if (section, attr) not in explicit:
-                adopted[section][attr] = value
-            elif section != "graph" and getattr(current, attr) != value:
-                why = ("the task its head was trained for" if attr == "task" else
-                       "which fixed its test split" if section == "train" else
-                       "which fixed its parameter shapes")
-                raise ConfigError(f"{section}.{attr}={getattr(current, attr)!r} conflicts "
-                                  f"with the checkpoint's {value!r}, {why}")
-    try:  # an unknown key, a value out of range or of the wrong type
+    try:  # a graph_config not a mapping, an unknown key, a value out of range or type
+        graph = dict(ckpt.metadata.get("graph_config") or {})
+        # older checkpoints also stored a node_feature_mode, under which
+        # learned-embedding ignored any feature_table
+        if graph.pop("node_feature_mode", None) == "learned-embedding":
+            graph["feature_table"] = None
+        stored = {"model": asdict(ckpt.model_config), "graph": graph,
+                  "train": {attr: ckpt.metadata[attr] for attr in split
+                            if ckpt.metadata.get(attr) is not None}}
+        adopted = {section: {} for section in stored}
+        for section, values in stored.items():
+            current = cfg if section == "train" else getattr(cfg, section)
+            for attr, value in values.items():
+                if (section, attr) not in explicit:
+                    adopted[section][attr] = value
+                elif section != "graph" and getattr(current, attr) != value:
+                    why = ("the task its head was trained for" if attr == "task" else
+                           "which fixed its test split" if section == "train" else
+                           "which fixed its parameter shapes")
+                    raise ConfigError(f"{section}.{attr}={getattr(current, attr)!r} "
+                                      f"conflicts with the checkpoint's {value!r}, {why}")
         cfg = replace(cfg, model=replace(cfg.model, **adopted["model"]),
                       graph=replace(cfg.graph, **adopted["graph"]), **adopted["train"])
     except (TypeError, ValueError) as exc:
@@ -281,7 +283,8 @@ def cmd_embed(args, rc: RunConfig) -> int:
     test_idx = finetune_splits(dataset, cfg)["test"]
     # a fine-tuned checkpoint's projection head is its untrained initial one
     head = None if ckpt.metadata.get("phase") == "finetune" else project
-    emb = forward(ckpt.to_params(), dataset, test_idx, cfg, head)
+    params = load_params(ckpt, cfg, dataset, pretrain_param_names if head else encoder_param_names)
+    emb = forward(params, dataset, test_idx, cfg, head)
     records = [dataset.records[int(i)] for i in test_idx]
     rows = [[rec.id, rec.surrogate_label, *values]
             for rec, values in zip(records, emb.tolist())]
@@ -298,8 +301,7 @@ def cmd_augment_preview(args, rc: RunConfig) -> int:
     index = next((k for k, rec in enumerate(manifest.records) if rec.id == args.id), None)
     if index is None:
         raise ManifestError(f"unknown record id: {args.id!r}")
-    graph = load_graph_dataset(DatasetManifest([manifest.records[index]]),
-                               cfg.graph).graphs[0]
+    graph = load_graph_dataset(manifest, cfg.graph, indices=[index]).graphs[index]
     # the pair epoch 0 of pretraining trains on when the record is in its train split
     views = view_pair(graph, cfg, 0, index)
 
@@ -376,7 +378,7 @@ def main(argv=None) -> int:
     except (ConfigError, ShapeMismatch) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except NonFinite as exc:
+    except (NonFinite, LossError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
     except (StructureError, ManifestError, GraphError, TrainError, CheckpointError,

@@ -53,14 +53,12 @@ def param_spec(cfg: ModelConfig, edge_feature_width: int = 41,
         spec[f"conv{t}.gate_bias"] = (1, h)
         spec[f"conv{t}.self_weight"] = (z_width, h)
         spec[f"conv{t}.self_bias"] = (1, h)
-    spec["projection.w1"] = (h, cfg.embed_dim)
-    spec["projection.b1"] = (1, cfg.embed_dim)
-    spec["projection.w2"] = (cfg.embed_dim, cfg.embed_dim)
-    spec["projection.b2"] = (1, cfg.embed_dim)
-    spec["head.w1"] = (h, cfg.head_hidden)
-    spec["head.b1"] = (1, cfg.head_hidden)
-    spec["head.w2"] = (cfg.head_hidden, 1)
-    spec["head.b2"] = (1, 1)
+    for head, width, out in (("projection", cfg.embed_dim, cfg.embed_dim),
+                             ("head", cfg.head_hidden, 1)):
+        spec[f"{head}.w1"] = (h, width)
+        spec[f"{head}.b1"] = (1, width)
+        spec[f"{head}.w2"] = (width, out)
+        spec[f"{head}.b2"] = (1, out)
     return spec
 
 
@@ -71,8 +69,7 @@ def init_params(cfg: ModelConfig, seed: int, edge_feature_width: int = 41,
     params: dict[str, Tensor] = {}
     for name, shape in param_spec(cfg, edge_feature_width, external_feature_width).items():
         gen = RngStream(seed, "init", name).generator()
-        if name.endswith("bias") or name in ("projection.b1", "projection.b2",
-                                             "head.b1", "head.b2"):
+        if name.endswith(("bias", ".b1", ".b2")):
             values = np.zeros(shape)
         elif name == "atom_embedding":
             values = gen.normal(0.0, 1.0 / np.sqrt(cfg.hidden_dim), size=shape)
@@ -96,19 +93,18 @@ def finetune_param_names(params: dict[str, Tensor]) -> list[str]:
     return encoder_param_names(params) + [n for n in params if n.startswith("head.")]
 
 
-def _affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    return ad.add(ad.matmul(x, w), b)
+def _two_layer(params: dict[str, Tensor], head: str, x: Tensor) -> Tensor:
+    hidden = ad.relu(ad.add(ad.matmul(x, params[f"{head}.w1"]), params[f"{head}.b1"]))
+    return ad.add(ad.matmul(hidden, params[f"{head}.w2"]), params[f"{head}.b2"])
 
 
 def project(params: dict[str, Tensor], crystal_vecs: Tensor) -> Tensor:
-    hidden = ad.relu(_affine(crystal_vecs, params["projection.w1"], params["projection.b1"]))
-    return _affine(hidden, params["projection.w2"], params["projection.b2"])
+    return _two_layer(params, "projection", crystal_vecs)
 
 
 def head_forward(params: dict[str, Tensor], crystal_vecs: Tensor) -> Tensor:
     """Per-crystal scalar: regression value, or classification logit."""
-    hidden = ad.relu(_affine(crystal_vecs, params["head.w1"], params["head.b1"]))
-    return _affine(hidden, params["head.w2"], params["head.b2"])
+    return _two_layer(params, "head", crystal_vecs)
 
 
 @dataclass

@@ -18,12 +18,13 @@ import numpy as np
 from . import autodiff as ad
 from .augment import AugmentConfig, make_views
 from .autodiff import Tape, Tensor, backward
-from .checkpoint import Checkpoint, checkpoint_from_params, save_checkpoint, write_csv
+from .checkpoint import (Checkpoint, CheckpointError, checkpoint_from_params,
+                         save_checkpoint, write_csv)
 from .datasets import DatasetManifest, ManifestRecord, load_structures
 from .graphs import FeatureTable, GraphConfig, build_graph, load_feature_table
 from .losses import LossConfig, compute_loss
 from .model import (ModelConfig, build_batch, encode, encoder_param_names,
-                    finetune_param_names, head_forward, init_params,
+                    finetune_param_names, head_forward, init_params, param_spec,
                     pretrain_param_names, project)
 from .rng import RngStream
 
@@ -214,9 +215,6 @@ class GraphDataset:
     graphs: list
     feature_table: FeatureTable | None = None
 
-    def __len__(self):
-        return len(self.records)
-
 
 def load_graph_dataset(manifest: DatasetManifest, graph_cfg: GraphConfig,
                        n_workers: int = 1, indices=None) -> GraphDataset:
@@ -300,10 +298,26 @@ def clone_params(params: dict[str, Tensor]) -> dict[str, Tensor]:
     return {n: Tensor(t.values.copy(), requires_grad=True) for n, t in params.items()}
 
 
-def _init_params(cfg: TrainConfig, dataset: GraphDataset) -> dict[str, Tensor]:
-    table_width = dataset.feature_table.width if dataset.feature_table else None
-    return init_params(cfg.model, cfg.seed, edge_feature_width=cfg.graph.n_centers,
-                       external_feature_width=table_width)
+def _widths(cfg: TrainConfig, dataset: GraphDataset) -> tuple[int, int | None]:
+    """The edge and external feature widths; with cfg.model they fix the parameter shapes."""
+    table = dataset.feature_table
+    return cfg.graph.n_centers, table.width if table else None
+
+
+def load_params(ckpt: Checkpoint, cfg: TrainConfig, dataset: GraphDataset,
+                select=encoder_param_names) -> dict[str, Tensor]:
+    """The checkpoint's float64 parameters that select (a model.*_param_names)
+    names, each checked against the shape cfg and the dataset give it: a
+    missing or misshapen tensor raises ShapeMismatch naming it."""
+    spec = param_spec(cfg.model, *_widths(cfg, dataset))
+    stored = ckpt.to_params()
+    names = select(spec)
+    for name in names:
+        if name not in stored:
+            raise ad.ShapeMismatch(f"checkpoint missing {name}", spec[name])
+        if stored[name].shape != spec[name]:
+            raise ad.ShapeMismatch(f"checkpoint[{name}]", stored[name].shape, spec[name])
+    return {name: stored[name] for name in names}
 
 
 def _checkpoint(params: dict[str, Tensor], cfg: TrainConfig, dataset: GraphDataset,
@@ -391,7 +405,7 @@ def pretrain(dataset: GraphDataset, cfg: TrainConfig, out_dir=None) -> TrainResu
                          "train.pretrain_eval_fraction")
     if cfg.loss.needs_labels:
         _record_values(dataset, np.concatenate([train_idx, eval_idx]), "surrogate_label")
-    params = _init_params(cfg, dataset)
+    params = init_params(cfg.model, cfg.seed, *_widths(cfg, dataset))
     log = TrainingLog()
     out_dir = Path(out_dir) if out_dir is not None else None
     if out_dir is not None:
@@ -474,17 +488,6 @@ def _score(params, dataset: GraphDataset, indices, cfg: TrainConfig,
     return mean_absolute_error(preds * t_std + t_mean, targets)
 
 
-def _load_encoder(params: dict[str, Tensor], ckpt: Checkpoint):
-    for name in encoder_param_names(params):
-        if name not in ckpt.tensors:
-            raise ad.ShapeMismatch(f"checkpoint missing {name}", params[name].shape)
-        stored = ckpt.tensors[name].astype(np.float64)
-        if stored.shape != params[name].shape:
-            raise ad.ShapeMismatch(f"checkpoint[{name}]", stored.shape,
-                                   params[name].shape)
-        params[name].values = stored
-
-
 def finetune(dataset: GraphDataset, ckpt: Checkpoint | None, cfg: TrainConfig,
              out_dir=None) -> TrainResult:
     """Supervised fine-tuning on targets, from a pretrained encoder or scratch.
@@ -509,9 +512,9 @@ def finetune(dataset: GraphDataset, ckpt: Checkpoint | None, cfg: TrainConfig,
         t_mean = float(train_targets.mean())
         t_std = float(max(train_targets.std(), 1e-12))
 
-    params = _init_params(cfg, dataset)
+    params = init_params(cfg.model, cfg.seed, *_widths(cfg, dataset))
     if ckpt is not None:
-        _load_encoder(params, ckpt)
+        params.update(load_params(ckpt, cfg, dataset))
     log = TrainingLog()
     metric = _metric_name(cfg.task)
 
@@ -556,14 +559,19 @@ def evaluate_checkpoint(dataset: GraphDataset, ckpt: Checkpoint,
     cfg must carry the checkpoint's settings (model, graph, seed, val/test
     fractions and task), as the CLI's evaluate reconciles them; only the
     target standardisation is taken from the checkpoint. A task other than
-    the stored one raises TrainError.
+    the stored one raises TrainError, and a target mean or std that is not a
+    finite number, or a std not above 0, raises CheckpointError.
     """
     cfg = cfg.resolved("finetune")
     stored_task = ckpt.metadata.get("task")
     if stored_task not in (None, cfg.task):
         raise TrainError(f"task {cfg.task!r} is not the checkpoint's {stored_task!r}, "
                          "the task its head was trained for")
-    score = _score(ckpt.to_params(), dataset, finetune_splits(dataset, cfg)["test"],
-                   cfg, ckpt.metadata.get("target_mean", 0.0),
-                   ckpt.metadata.get("target_std", 1.0))
+    t_mean, t_std = ckpt.metadata.get("target_mean", 0.0), ckpt.metadata.get("target_std", 1.0)
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+               for v in (t_mean, t_std)) or t_std <= 0:
+        raise CheckpointError(f"checkpoint target_mean={t_mean!r}, target_std={t_std!r}: "
+                              "both must be finite numbers, and target_std above 0")
+    score = _score(load_params(ckpt, cfg, dataset, finetune_param_names), dataset,
+                   finetune_splits(dataset, cfg)["test"], cfg, t_mean, t_std)
     return Metrics(**{_metric_name(cfg.task): score})

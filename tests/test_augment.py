@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from crystalpretrain.augment import AugmentConfig, gndn, make_views, mask_count
+from crystalpretrain.augment import AugmentConfig, make_views, mask_count
 from crystalpretrain.graphs import FeatureTable, GraphConfig, build_graph, gaussian_expand
 from crystalpretrain.rng import RngStream
 from conftest import random_structure
@@ -15,6 +15,10 @@ def atoms_only(fraction):
 
 def edges_only(fraction):
     return AugmentConfig(atom_mask_fraction=0.0, edge_mask_fraction=fraction, gndn_delta=0.0)
+
+
+def noise_only(delta):
+    return AugmentConfig(atom_mask_fraction=0.0, edge_mask_fraction=0.0, gndn_delta=delta)
 
 
 @pytest.fixture
@@ -69,14 +73,14 @@ def test_edge_mask(graph):
 
 
 def test_gndn_zero_delta_is_identity(graph):
-    out = gndn(graph, 0.0, RngStream(3), CFG)
+    out, _ = make_views(graph, noise_only(0.0), (RngStream(3), RngStream(4)), CFG)
     assert np.array_equal(out.distances, graph.distances)
     assert np.array_equal(out.edge_features, graph.edge_features)
 
 
 def test_gndn_bound_and_features():
     g = build_graph(random_structure(12, max_atoms=8), CFG)
-    out = gndn(g, 0.5, RngStream(4), CFG)
+    out, _ = make_views(g, noise_only(0.5), (RngStream(4), RngStream(5)), CFG)
     assert np.abs(out.distances - g.distances).max() <= 0.5
     assert np.array_equal(out.edge_features, gaussian_expand(out.distances, CFG))
     assert topology_equal(out, g)
@@ -86,7 +90,7 @@ def test_gndn_bound_and_features():
 
 def test_gndn_preserves_masked_edges(graph):
     masked, _ = make_views(graph, edges_only(0.2), (RngStream(5), RngStream(6)), CFG)
-    out = gndn(masked, 0.5, RngStream(6), CFG)
+    out, _ = make_views(masked, noise_only(0.5), (RngStream(6), RngStream(7)), CFG)
     rows = np.nonzero(out.edge_masked)[0]
     assert len(rows) and (out.edge_features[rows] == 0.0).all()
     # masking and noising in one view: the masked rows stay zero as well
@@ -100,9 +104,10 @@ def test_gndn_preserves_masked_edges(graph):
 
 
 def test_gndn_stream_determinism(graph):
-    stream = RngStream(1, "augment", 0, 0, 0).child("gndn")
-    a = gndn(graph, 0.5, stream, CFG)
-    b = gndn(graph, 0.5, RngStream(1, "augment", 0, 0, 0).child("gndn"), CFG)
+    streams = (RngStream(1, "augment", 0, 0, 0), RngStream(1, "augment", 0, 0, 1))
+    a, _ = make_views(graph, noise_only(0.5), streams, CFG)
+    b, _ = make_views(graph, noise_only(0.5), (RngStream(1, "augment", 0, 0, 0),
+                                                RngStream(1, "augment", 0, 0, 1)), CFG)
     assert np.array_equal(a.distances, b.distances)
 
 

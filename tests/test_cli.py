@@ -248,15 +248,32 @@ BAD_INPUTS = {
     "table-feature-nan": ("table", "z,f0\n26,nan\n"),
     "table-not-utf8": ("table", "z,f0\n26,1.0\udcff\n"),
     "cif-not-utf8": ("cif", "data_x\n_cell_length_a 4.0\udcff\n"),
+    # a fine-tuned checkpoint whose metadata is updated with the dict
+    "finetuned-graph-config-int": ("finetuned", {"graph_config": 5}),
+    "finetuned-graph-config-list": ("finetuned", {"graph_config": ["a"]}),
+    "finetuned-target-mean-not-number": ("finetuned", {"target_mean": "x"}),
+    "finetuned-target-mean-inf": ("finetuned", {"target_mean": math.inf}),
+    "finetuned-target-std-nan": ("finetuned", {"target_std": math.nan}),
+    "finetuned-target-std-zero": ("finetuned", {"target_std": 0.0}),
+    # configuration errors, exit 2
+    "config-not-utf8": ("config", "model.n_conv = 1\nmodel.hidden_dim = 6\udcff\n"),
+    # a fine-tuned checkpoint with one tensor deleted or one row short, read by
+    # (command, tensor, edit)
+    "evaluate-tensor-missing": ("tensor", ("evaluate", "head.w2", "missing")),
+    "evaluate-tensor-row-short": ("tensor", ("evaluate", "head.w1", "short")),
+    "embed-tensor-missing": ("tensor", ("embed", "atom_embedding", "missing")),
+    "embed-tensor-row-short": ("tensor", ("embed", "conv0.self_weight", "short")),
 }
+EXITS_2 = ("config", "tensor")  # the kinds whose bad input is a configuration error
 
 
 def _write_text(path, text):
     path.write_bytes(text.encode("utf-8", "surrogateescape"))
 
 
-@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
-def test_bad_input_exits_3(case, synth_dir, tmp_path, capsys):
+def _bad_input(case, synth_dir, tmp_path, request):
+    """Write the bad input of BAD_INPUTS[case]; return its path and the
+    arguments of a command that reads it."""
     kind, content = BAD_INPUTS[case]
     manifest = synth_dir / "manifest.csv"
     bad = tmp_path / f"bad.{kind}"
@@ -273,14 +290,46 @@ def test_bad_input_exits_3(case, synth_dir, tmp_path, capsys):
         one = tmp_path / "one.csv"
         one.write_text(header + f"syn-x,{bad},0,1.5,\n")
         args = ["stats", one]
+    elif kind == "config":
+        _write_text(bad, content)
+        args = ["--config", bad, "stats", manifest]
+    elif kind in ("finetuned", "tensor"):
+        ckpt = load_checkpoint(request.getfixturevalue("trained") / "ft" / "best.ckpt")
+        command = "evaluate"
+        if kind == "finetuned":
+            ckpt.metadata.update(content)
+        else:
+            command, name, edit = content
+            if edit == "missing":
+                del ckpt.tensors[name]
+            else:
+                ckpt.tensors[name] = ckpt.tensors[name][:-1]
+        save_checkpoint(bad, ckpt)
+        args = [command, manifest, "--checkpoint", bad]
     else:
         _write_text(bad, content)
         args = ["--set", f"graph.feature_table={bad}", "pretrain", manifest]
+    return bad, args
+
+
+@pytest.mark.parametrize("case", sorted(c for c in BAD_INPUTS if BAD_INPUTS[c][0] not in EXITS_2))
+def test_bad_input_exits_3(case, synth_dir, tmp_path, capsys, request):
+    bad, args = _bad_input(case, synth_dir, tmp_path, request)
     assert run(["--out", tmp_path / "out", *args]) == 3
     err = capsys.readouterr().err
     assert err.startswith("data error")
-    if kind != "checkpoint":
+    if BAD_INPUTS[case][0] not in ("checkpoint", "finetuned"):
         assert f"{bad}:2:" in err  # names the line
+
+
+@pytest.mark.parametrize("case", sorted(c for c in BAD_INPUTS if BAD_INPUTS[c][0] in EXITS_2))
+def test_bad_input_exits_2(case, synth_dir, tmp_path, capsys, request):
+    bad, args = _bad_input(case, synth_dir, tmp_path, request)
+    assert run(["--out", tmp_path / "out", *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error")
+    kind, content = BAD_INPUTS[case]
+    assert (f"{bad}:2:" if kind == "config" else content[1]) in err  # names the line or tensor
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -290,6 +339,20 @@ def test_numerical_failure_exits_4(synth_dir, tmp_path):
                 "--set", "train.lr=1e155", "--set", "train.epochs=2",
                 "pretrain", synth_dir / "manifest.csv"])
     assert code == 4
+
+
+def test_loss_refusal_exits_4(tmp_path, capsys):
+    # one projection unit whose ReLU is off for every crystal of a batch
+    # leaves each row its zero bias; a zero-norm row passes no gradient, and
+    # the loss refuses it
+    data = tmp_path / "data"
+    assert run(["--out", data, "--seed", "7", "--set", "synth.n_crystals=64",
+                "--set", "synth.max_atoms=4", "synth"]) == 0
+    assert run(["--out", tmp_path / "pre", "--seed", "2", "--set", "model.embed_dim=1",
+                "--set", "model.hidden_dim=4", "--set", "model.n_conv=1",
+                "--set", "train.epochs=2", "--set", "train.batch_size=16",
+                "pretrain", data / "manifest.csv"]) == 4
+    assert "numerical failure: embedding rows" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("kind", ["manifest", "table"])
@@ -363,6 +426,14 @@ train.batch_size = 128
     rc = RunConfig(pairs)
     assert rc.train_config("pretrain").loss.lam == 0.0051
     assert rc.train_config("pretrain").batch_size == 128
+
+
+def test_config_file_line_endings(tmp_path):
+    # lines end at \n, \r\n or \r, as in a file read in text mode
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"model.n_conv = 1\r\nmodel.hidden_dim = 6\rtrain.epochs = 2\n")
+    assert read_config_file(cfg) == {"model.n_conv": "1", "model.hidden_dim": "6",
+                                     "train.epochs": "2"}
 
 
 def test_paper_configurations_accepted():
@@ -470,6 +541,19 @@ def test_embed_command(trained, synth_dir, tmp_path):
     lines = (pooled / "embeddings.csv").read_text().strip().splitlines()
     assert len(lines[0].split(",")) == 2 + 6  # hidden_dim=6 in FAST_TRAIN
     assert len(lines) - 1 == 4
+
+
+def test_embed_of_a_finetuned_checkpoint_reads_no_head(trained, synth_dir, tmp_path):
+    # it exports the pooled encoder vectors, so neither head is read
+    ckpt = load_checkpoint(trained / "ft" / "best.ckpt")
+    del ckpt.tensors["head.w2"], ckpt.tensors["projection.w1"]
+    save_checkpoint(tmp_path / "headless.ckpt", ckpt)
+    for name, path in (("whole", trained / "ft" / "best.ckpt"),
+                       ("headless", tmp_path / "headless.ckpt")):
+        assert run(["--out", tmp_path / name, "embed", synth_dir / "manifest.csv",
+                    "--checkpoint", path]) == 0
+    assert (tmp_path / "headless" / "embeddings.csv").read_bytes() == \
+        (tmp_path / "whole" / "embeddings.csv").read_bytes()
 
 
 def test_embed_quotes_ids_holding_commas(trained, synth_dir, tmp_path):
