@@ -15,9 +15,19 @@ Usage:
 A tape is differentiated once, and a second backward raises TapeConsumed:
 gated_conv's backward writes its gradient over the arrays its forward
 saved, so that a training step's backward allocates no edge-sized array.
+
+gated_conv shares its edge-sized work between the calling thread and one
+thread of a pool that the process makes on first use (_MAX_THREADS = 2),
+unless the process may run on one CPU only (taskset -c 0). Its outputs
+and gradients are the same, bit for bit, at either thread count. Every
+other op runs on the calling thread.
 """
 
 from __future__ import annotations
+
+import os
+import threading
+from functools import partial
 
 import numpy as np
 
@@ -315,16 +325,79 @@ def segment_sum(a, segment_ids, num_segments: int) -> Tensor:
                  (a,), lambda g: (g[segment_ids],))
 
 
-# Edge rows per block in gated_conv: a (rows, 2h) float64 pre-activation
-# block at the default h = 64 is 128 KB, so the chain of elementwise passes
-# over a block, with its buffers and gathered node rows, stays well inside
-# L2 instead of streaming edge-sized arrays from memory. At 512 rows the
-# block's working set is about 2 MB, the whole L2 of a Sapphire Rapids
-# core, and its speed swung from one run to the next.
-_EDGE_BLOCK = 128
+# Edge rows per block in gated_conv: the chain of elementwise passes over a
+# block, with its buffers and gathered node rows, stays in L2 instead of
+# streaming edge-sized arrays from memory, and each block pays the Python
+# between its numpy calls once, holding the GIL that a second thread waits
+# for. Forward of 10,752 edges at h = 64 on a 2-vCPU VM, medians of 25
+# calls on one thread / two: 128 rows 12-17 / 12-14 ms, 256 rows 13-17 /
+# 9.6-10 ms, 512 rows 13-15 / 8.3-10.6 ms, 1024 rows 14-18 / 12-14 ms.
+_EDGE_BLOCK = 512
+
+# Threads that share one gated_conv's edge-sized work: the calling thread
+# and at most _MAX_THREADS - 1 pool threads. numpy releases the GIL inside
+# each ufunc and BLAS call, but the Python between those calls holds it.
+_MAX_THREADS = 2
+_POOL_LOCK = threading.Lock()
+_pool = None  # (pid, ThreadPoolExecutor), made on first use
 
 
-def gated_conv(v, e, src, dst, gate_weight, gate_bias, self_weight, self_bias) -> Tensor:
+def _threads() -> int:
+    """_MAX_THREADS, or fewer where the process may run on fewer CPUs."""
+    try:
+        usable = len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        usable = os.cpu_count() or 1
+    return min(_MAX_THREADS, usable)
+
+
+def _executor():
+    """The process's pool of _MAX_THREADS - 1 threads. A forked child has
+    none of its parent's threads, so it makes its own pool."""
+    global _pool
+    with _POOL_LOCK:
+        if _pool is None or _pool[0] != os.getpid():
+            from concurrent.futures import ThreadPoolExecutor
+            _pool = (os.getpid(), ThreadPoolExecutor(_MAX_THREADS - 1,
+                                                     thread_name_prefix="gated_conv"))
+        return _pool[1]
+
+
+def _spans(m: int) -> list[tuple[int, int]]:
+    """[0, m) as one contiguous span of whole _EDGE_BLOCK blocks per thread,
+    or as a single span when a thread would get fewer than two blocks."""
+    blocks = -(-m // _EDGE_BLOCK)
+    threads = min(_threads(), blocks // 2)
+    if threads < 2:
+        return [(0, m)]
+    step = -(-blocks // threads) * _EDGE_BLOCK
+    return [(lo, min(lo + step, m)) for lo in range(0, m, step)]
+
+
+def _run_all(jobs, threads: int) -> list:
+    """Each job's result, in order. With two threads or more the calling
+    thread runs the first job and the pool the others; with one, the
+    calling thread runs them all. Every job has finished before this
+    returns or raises, and the error raised is the first in job order."""
+    if threads < 2:
+        return [job() for job in jobs]
+    futures = [_executor().submit(job) for job in jobs[1:]]
+    try:
+        first = jobs[0]()
+    finally:
+        for future in futures:
+            future.exception()  # waits for the job to finish
+    return [first] + [future.result() for future in futures]
+
+
+def edge_runs(src, dst) -> tuple[list, list]:
+    """The rows of src and of dst grouped by id, as gated_conv's runs takes
+    them: made once per graph batch, they serve every layer over it."""
+    return _runs(np.asarray(src, dtype=np.int64)), _runs(np.asarray(dst, dtype=np.int64))
+
+
+def gated_conv(v, e, src, dst, gate_weight, gate_bias, self_weight, self_bias,
+               runs=None) -> Tensor:
     """CGCNN gated residual convolution as one op:
     v + sum over edges i->j of sigmoid(z W_g + b_g) * softplus(z W_s + b_s),
     z = [v_i, v_j, e_ij], added onto each anchor i = src.
@@ -332,6 +405,10 @@ def gated_conv(v, e, src, dst, gate_weight, gate_bias, self_weight, self_bias) -
     Gate and filter share one (2h + k, 2h) matrix W, cut into row blocks
     W_a, W_b, W_e, so the edge pre-activation is (v W_a)[src] + (v W_b)[dst]
     + e W_e + b: node-sized matmuls plus one over the edge features.
+
+    runs, if given, must be edge_runs(src, dst); a batch makes it once for
+    all its layers. Without it the op groups the rows of src, and a
+    backward those of dst, itself.
 
     The edge-sized work runs in blocks of _EDGE_BLOCK edge rows: each block's
     pre-activation is built in one reused buffer and turned, by in-place
@@ -355,6 +432,14 @@ def gated_conv(v, e, src, dst, gate_weight, gate_bias, self_weight, self_bias) -
     (h = 1) pairwise: the weight gradients then move in the last bits. The
     gradient of e, which the encoder never needs, is the sum of the two
     halves' products.
+
+    Up to _MAX_THREADS threads share the edge-sized work. In the forward
+    and in the backward's block loop each takes one contiguous span of
+    whole blocks (_spans), with block buffers of its own; the backward's
+    reductions of the gate half and of the filter half then run as two
+    jobs at once. Each block and each reduction is computed as it would be
+    on one thread, so no bit depends on the thread count. An op with fewer
+    than two blocks per thread runs on the calling thread alone.
     """
     v, e, *weights = map(_as_tensor, (v, e, gate_weight, gate_bias, self_weight, self_bias))
     src, dst = np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)
@@ -375,48 +460,60 @@ def gated_conv(v, e, src, dst, gate_weight, gate_bias, self_weight, self_bias) -
     node_a, node_b = v.values @ w_a, v.values @ w_b
     taped = _active_tape() is not None and any(t.requires_grad for t in (v, e, *weights))
     msg = np.empty((m, h))
-    gate = np.empty((m if taped else min(m, _EDGE_BLOCK), h))
+    gate = np.empty((m, h)) if taped else None
     filt = np.empty((m, h)) if taped else None  # sigmoid of the filter pre-activation
-    pre, rows = np.empty((2, min(m, _EDGE_BLOCK), 2 * h))
-    tail = np.empty((min(m, _EDGE_BLOCK), h))
-    for lo in range(0, m, _EDGE_BLOCK):
-        hi = min(lo + _EDGE_BLOCK, m)
-        p, r = pre[:hi - lo], rows[:hi - lo]
-        gt = gate[lo:hi] if taped else gate[:hi - lo]
-        np.matmul(e.values[lo:hi], w_e, out=p)
-        p += b
-        p += np.take(node_a, src[lo:hi], axis=0, out=r, mode="wrap")
-        p += np.take(node_b, dst[lo:hi], axis=0, out=r, mode="wrap")
-        _sigmoid(p[:, :h], out=gt)
-        _softplus(p[:, h:], out=msg[lo:hi], scratch=tail[:hi - lo])
-        msg[lo:hi] *= gt
-        if taped:
-            _sigmoid(p[:, h:], out=filt[lo:hi])
-    by_src = _runs(src)
+    spans, block = _spans(m), min(m, _EDGE_BLOCK)
 
-    def backward_fn(g):
+    def forward_span(lo, hi, pre, rows, tail, block_gate):
+        for start in range(lo, hi, _EDGE_BLOCK):
+            stop = min(start + _EDGE_BLOCK, hi)
+            p, r = pre[:stop - start], rows[:stop - start]
+            gt = gate[start:stop] if taped else block_gate[:stop - start]
+            np.matmul(e.values[start:stop], w_e, out=p)
+            p += b
+            p += np.take(node_a, src[start:stop], axis=0, out=r, mode="wrap")
+            p += np.take(node_b, dst[start:stop], axis=0, out=r, mode="wrap")
+            _sigmoid(p[:, :h], out=gt)
+            _softplus(p[:, h:], out=msg[start:stop], scratch=tail[:stop - start])
+            msg[start:stop] *= gt
+            if taped:
+                _sigmoid(p[:, h:], out=filt[start:stop])
+
+    _run_all([partial(forward_span, lo, hi, *np.empty((2, block, 2 * h)),
+                      *np.empty((2, block, h))) for lo, hi in spans], len(spans))
+    by_src, by_dst = runs if runs is not None else (_runs(src), None)
+
+    def backward_span(lo, hi, g, g_msg, tmp):
         # the pre-activation gradient's gate half, g_msg * msg * (1 - gate),
         # is written over msg and its filter half, g_msg * gate * filt, over
         # filt, left to right as whole-array expressions would compute them
-        g_msg, tmp = np.empty((2, min(m, _EDGE_BLOCK), h))
-        for lo in range(0, m, _EDGE_BLOCK):
-            hi = min(lo + _EDGE_BLOCK, m)
-            gm, t = g_msg[:hi - lo], tmp[:hi - lo]
-            np.take(g, src[lo:hi], axis=0, out=gm, mode="wrap")
-            msg[lo:hi] *= gm
-            msg[lo:hi] *= np.subtract(1.0, gate[lo:hi], out=t)
-            np.multiply(gm, gate[lo:hi], out=t)
-            filt[lo:hi] *= t
+        for start in range(lo, hi, _EDGE_BLOCK):
+            stop = min(start + _EDGE_BLOCK, hi)
+            gm, t = g_msg[:stop - start], tmp[:stop - start]
+            np.take(g, src[start:stop], axis=0, out=gm, mode="wrap")
+            msg[start:stop] *= gm
+            msg[start:stop] *= np.subtract(1.0, gate[start:stop], out=t)
+            np.multiply(gm, gate[start:stop], out=t)
+            filt[start:stop] *= t
+
+    def reduce_half(half, dst_runs):
+        return (_sum_runs(half, by_src, n), _sum_runs(half, dst_runs, n),
+                half.sum(axis=0, keepdims=True), e.values.T @ half)
+
+    def backward_fn(g):
+        _run_all([partial(backward_span, lo, hi, g, *np.empty((2, block, h)))
+                  for lo, hi in spans], len(spans))
         g_gate, g_filt = msg, filt
-        g_src, g_dst = (np.concatenate([_sum_runs(g_gate, runs, n), _sum_runs(g_filt, runs, n)],
-                                       axis=1) for runs in (by_src, _runs(dst)))
+        dst_runs = _runs(dst) if by_dst is None else by_dst
+        (src_gate, dst_gate, b_gate, e_gate), (src_filt, dst_filt, b_filt, e_filt) = _run_all(
+            [partial(reduce_half, half, dst_runs) for half in (g_gate, g_filt)], len(spans))
+        g_src = np.concatenate([src_gate, src_filt], axis=1)
+        g_dst = np.concatenate([dst_gate, dst_filt], axis=1)
         g_node = np.concatenate([v.values.T @ g_src, v.values.T @ g_dst])
         return (g + g_src @ w_a.T + g_dst @ w_b.T,
                 g_gate @ w_e[:, :h].T + g_filt @ w_e[:, h:].T if e.requires_grad else None,
-                np.concatenate([g_node[:, :h], e.values.T @ g_gate]),
-                g_gate.sum(axis=0, keepdims=True),
-                np.concatenate([g_node[:, h:], e.values.T @ g_filt]),
-                g_filt.sum(axis=0, keepdims=True))
+                np.concatenate([g_node[:, :h], e_gate]), b_gate,
+                np.concatenate([g_node[:, h:], e_filt]), b_filt)
 
     return _make("gated_conv", v.values + _sum_runs(msg, by_src, n),
                  (v, e, *weights), backward_fn)

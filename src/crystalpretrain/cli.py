@@ -223,10 +223,12 @@ def _reconcile_with_checkpoint(rc: RunConfig, cfg: TrainConfig, ckpt,
 
 def _prepare(args, rc: RunConfig):
     """The command's checkpoint (None for pretrain and --no-pretrain), its
-    configuration reconciled with that checkpoint, the output directory and
-    the graph dataset. evaluate and embed score the split the checkpoint was
-    trained with, and read only that test split's CIFs. A feature table whose
-    digest differs from the one the checkpoint stores is refused."""
+    configuration reconciled with that checkpoint, and the graph dataset.
+    evaluate and embed score the split the checkpoint was trained with, and
+    read only that test split's CIFs. A feature table whose digest differs
+    from the one the checkpoint stores is refused. The command makes --out
+    only once load_params has checked the checkpoint's tensors, so that a
+    refused checkpoint leaves no output directory behind."""
     path = getattr(args, "checkpoint", None)
     if getattr(args, "no_pretrain", False):
         if path:
@@ -240,7 +242,6 @@ def _prepare(args, rc: RunConfig):
     phase = "pretrain" if args.command == "pretrain" else "finetune"
     scoring = args.command in ("evaluate", "embed")
     cfg = _reconcile_with_checkpoint(rc, rc.train_config(phase), ckpt, adopt_split=scoring)
-    out = _out_dir(args)
     manifest = load_manifest(args.manifest)
     test = finetune_splits(manifest, cfg)["test"] if scoring else None
     dataset = load_graph_dataset(manifest, cfg.graph, cfg.n_workers, indices=test)
@@ -248,11 +249,12 @@ def _prepare(args, rc: RunConfig):
     if trained_on and getattr(dataset.feature_table, "sha256", None) != trained_on:
         raise GraphError(f"graph.feature_table={cfg.graph.feature_table} is not the "
                          f"table the checkpoint was trained with (SHA-256 {trained_on})")
-    return ckpt, cfg, out, dataset
+    return ckpt, cfg, dataset
 
 
 def cmd_pretrain(args, rc: RunConfig) -> int:
-    _, cfg, out, dataset = _prepare(args, rc)
+    _, cfg, dataset = _prepare(args, rc)
+    out = _out_dir(args)
     result = pretrain(dataset, cfg, out_dir=out)
     last_eval = next(r[5] for r in reversed(result.log.rows) if r[4] == "eval_loss")
     print(f"pretraining done: loss={cfg.loss.kind} epochs={cfg.epochs} "
@@ -262,7 +264,8 @@ def cmd_pretrain(args, rc: RunConfig) -> int:
 
 
 def cmd_finetune(args, rc: RunConfig) -> int:
-    ckpt, cfg, out, dataset = _prepare(args, rc)
+    ckpt, cfg, dataset = _prepare(args, rc)
+    out = Path(args.out)  # train.finetune makes it when it saves best.ckpt
     result = finetune(dataset, ckpt, cfg, out_dir=out)
     score = _write_metrics(out, result.metrics)
     print(f"fine-tuning done: task={cfg.task} {score} "
@@ -272,18 +275,20 @@ def cmd_finetune(args, rc: RunConfig) -> int:
 
 
 def cmd_evaluate(args, rc: RunConfig) -> int:
-    ckpt, cfg, out, dataset = _prepare(args, rc)
-    score = _write_metrics(out, evaluate_checkpoint(dataset, ckpt, cfg))
+    ckpt, cfg, dataset = _prepare(args, rc)
+    metrics = evaluate_checkpoint(dataset, ckpt, cfg)
+    score = _write_metrics(_out_dir(args), metrics)
     print(f"evaluation done: {score}")
     return 0
 
 
 def cmd_embed(args, rc: RunConfig) -> int:
-    ckpt, cfg, out, dataset = _prepare(args, rc)
+    ckpt, cfg, dataset = _prepare(args, rc)
     test_idx = finetune_splits(dataset, cfg)["test"]
     # a fine-tuned checkpoint's projection head is its untrained initial one
     head = None if ckpt.metadata.get("phase") == "finetune" else project
     params = load_params(ckpt, cfg, dataset, pretrain_param_names if head else encoder_param_names)
+    out = _out_dir(args)
     emb = forward(params, dataset, test_idx, cfg, head)
     records = [dataset.records[int(i)] for i in test_idx]
     rows = [[rec.id, rec.surrogate_label, *values]

@@ -6,10 +6,13 @@ i -> j, z = [v_i, v_j, e_ij] passes through a sigmoid gate and a softplus
 filter, and the gated messages are summed onto the anchor i and added to v_i
 (residual update). The layer runs as one autodiff op, autodiff.gated_conv,
 which applies the weights to the node rows before gathering them onto the
-edges, and runs the edge-sized work in blocks of edge rows that fit in L2.
-A training step keeps the gate, the message and the filter's sigmoid per
-edge, not the pre-activation, and the backward writes its gradient over the
-last two. The parameters keep their per-gate names and shapes.
+edges, and runs the edge-sized work in blocks of edge rows that fit in L2,
+shared between two threads where the process may use two CPUs, with the
+same bits as on one. A training step keeps the gate, the message and the
+filter's sigmoid per edge, not the pre-activation, and the backward writes
+its gradient over the last two. build_batch groups the edge rows by anchor
+and by neighbour once (autodiff.edge_runs), and every layer reuses that
+grouping. The parameters keep their per-gate names and shapes.
 Mean pooling over each crystal's nodes yields the crystal vector.
 """
 
@@ -119,6 +122,7 @@ class GraphBatch:
     edge_features: np.ndarray
     crystal_ids: np.ndarray
     n_crystals: int
+    edge_runs: tuple  # autodiff.edge_runs(src, dst), shared by every layer
 
 
 def build_batch(graphs: list[CrystalGraph]) -> GraphBatch:
@@ -132,16 +136,18 @@ def build_batch(graphs: list[CrystalGraph]) -> GraphBatch:
         feats.append(g.edge_features)
         segs.append(np.full(g.n_nodes, k, dtype=np.int64))
         offset += g.n_nodes
+    src, dst = np.concatenate(srcs), np.concatenate(dsts)
     return GraphBatch(
         node_z=np.concatenate(node_z),
         node_matrix=(None if graphs[0].node_features is None
                      else np.concatenate([g.node_features for g in graphs])),
         node_keep=np.concatenate(keeps),
-        src=np.concatenate(srcs),
-        dst=np.concatenate(dsts),
+        src=src,
+        dst=dst,
         edge_features=np.concatenate(feats),
         crystal_ids=np.concatenate(segs),
         n_crystals=len(graphs),
+        edge_runs=ad.edge_runs(src, dst),
     )
 
 
@@ -157,6 +163,7 @@ def encode(params: dict[str, Tensor], batch: GraphBatch, cfg: ModelConfig) -> Te
     for t in range(cfg.n_conv):
         feats = ad.gated_conv(feats, edge_feats, batch.src, batch.dst,
                               params[f"conv{t}.gate_weight"], params[f"conv{t}.gate_bias"],
-                              params[f"conv{t}.self_weight"], params[f"conv{t}.self_bias"])
+                              params[f"conv{t}.self_weight"], params[f"conv{t}.self_bias"],
+                              runs=batch.edge_runs)
     # mean over each crystal's nodes; masked atoms still count
     return ad.segment_mean(feats, batch.crystal_ids, batch.n_crystals)

@@ -55,7 +55,9 @@ def decode_utf8(data: bytes, path, error: type[Exception]) -> str:
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
+        # lines end at \r\n, \r or \n, as text mode splits them
+        head = data[:exc.start]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
         raise error(f"{path}:{line}: byte {data[exc.start]:#04x} is not UTF-8") from None
 
 

@@ -1,3 +1,10 @@
+import concurrent.futures
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -265,3 +272,183 @@ def test_grad_check_subset_for_large_tensors():
     err = grad_check(lambda p: ad.sum_(ad.power(p[0], 2)), params, h=1e-5,
                      max_coords=64)
     assert err < 1e-7
+
+
+# ---------------------------------------------------------------------------
+# gated_conv on the thread pool
+# ---------------------------------------------------------------------------
+
+# edge counts in blocks of ad._EDGE_BLOCK: below one block, exactly two (one
+# per thread, so the op runs inline), exactly four, and five with the last
+# one short (spans of three and two blocks)
+POOL_EDGES = {"below-one-block": 0.4, "two-blocks": 2, "four-blocks": 4,
+              "odd-short-last": 4.7}
+
+
+def conv_inputs(m, h, seed, shuffle_src=False, k=41):
+    """Node rows, edge rows, src (sorted unless shuffle_src), dst in random
+    order, the four weights, and a mix that makes the output a scalar."""
+    gen = np.random.default_rng(seed)
+    n = max(2, m // 12)
+    src = np.sort(gen.integers(0, n, size=m))
+    if shuffle_src:
+        src = gen.permutation(src)
+    dst = gen.integers(0, n, size=m)
+    weights = [gen.uniform(-0.5, 0.5, size=shape) for shape in [(2 * h + k, h), (1, h)] * 2]
+    return (gen.normal(size=(n, h)), gen.uniform(size=(m, k)), src, dst, weights,
+            gen.normal(size=(n, h)))
+
+
+def conv_bits(inputs, threads, monkeypatch):
+    """The untaped and taped outputs and the six gradients of one gated_conv
+    with `threads` threads."""
+    feats, edges, src, dst, weights, mix = inputs
+    monkeypatch.setattr(ad, "_threads", lambda: threads)
+    untaped = ad.gated_conv(Tensor(feats), Tensor(edges), src, dst, *map(Tensor, weights))
+    leaves = [leaf(x) for x in (feats, edges, *weights)]
+    with Tape() as tape:
+        out = ad.gated_conv(leaves[0], leaves[1], src, dst, *leaves[2:])
+        grads = backward(tape, ad.sum_(ad.mul(out, Tensor(mix))))
+    return [untaped.values, out.values] + [grads[t] for t in leaves]
+
+
+@pytest.mark.parametrize("h", [1, 16, 64])
+@pytest.mark.parametrize("blocks", sorted(POOL_EDGES))
+@pytest.mark.parametrize("shuffle_src", [False, True], ids=["sorted-src", "shuffled-src"])
+def test_gated_conv_bits_do_not_depend_on_threads(h, blocks, shuffle_src, monkeypatch):
+    m = int(POOL_EDGES[blocks] * ad._EDGE_BLOCK)
+    inputs = conv_inputs(m, h, seed=31, shuffle_src=shuffle_src)
+    one = conv_bits(inputs, 1, monkeypatch)
+    two = conv_bits(inputs, 2, monkeypatch)
+    assert len(ad._spans(m)) == (2 if m >= 4 * ad._EDGE_BLOCK else 1)
+    # the batch's shared runs give the same bits as the op's own
+    runs = ad.edge_runs(inputs[2], inputs[3])
+    with_runs = ad.gated_conv(*map(Tensor, inputs[:2]), *inputs[2:4],
+                              *map(Tensor, inputs[4]), runs=runs)
+    assert np.array_equal(with_runs.values, one[0])
+    assert len(one) == len(two) == 8
+    for name, a, b in zip(["untaped", "taped", "v", "e", "gate_weight", "gate_bias",
+                           "self_weight", "self_bias"], one, two):
+        assert np.array_equal(a, b), name
+
+
+@pytest.mark.parametrize("m_blocks", [0, 1, 3, 4, 5, 9])
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_spans_cover_the_edges_in_whole_blocks(m_blocks, threads, monkeypatch):
+    monkeypatch.setattr(ad, "_threads", lambda: threads)
+    m = max(0, m_blocks * ad._EDGE_BLOCK - 5)
+    spans = ad._spans(m)
+    assert [lo for lo, _ in spans] + [m] == [0] + [hi for _, hi in spans]
+    assert all(lo % ad._EDGE_BLOCK == 0 for lo, _ in spans)
+    # one span per thread, each of two blocks or more, or one span
+    assert len(spans) <= threads
+    assert len(spans) == 1 or all(hi - lo > ad._EDGE_BLOCK for lo, hi in spans)
+
+
+def test_thread_count_follows_the_usable_cpus(monkeypatch):
+    assert ad._threads() == min(ad._MAX_THREADS, len(os.sched_getaffinity(0)))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert ad._threads() == 1
+
+
+def test_an_error_in_a_span_surfaces_from_the_op(monkeypatch):
+    inputs = conv_inputs(5 * ad._EDGE_BLOCK, 8, seed=32)
+    expected = conv_bits(inputs, 2, monkeypatch)
+    for name in ("_softplus", "_sum_runs"):  # the forward's spans, the backward's jobs
+        real = getattr(ad, name)
+
+        def off_main(*args, real=real, **kwargs):
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError("a pool thread failed")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ad, name, off_main)
+        with pytest.raises(RuntimeError, match="a pool thread failed"):
+            conv_bits(inputs, 2, monkeypatch)
+        monkeypatch.setattr(ad, name, real)
+    # the pool still runs, and computes the same
+    for a, b in zip(expected, conv_bits(inputs, 2, monkeypatch)):
+        assert np.array_equal(a, b)
+
+
+def test_concurrent_callers_make_one_pool_and_keep_their_bits(monkeypatch):
+    # more callers than cores, switching threads every microsecond: the
+    # first calls race to make the pool, which must be made once, and each
+    # call's spans and jobs must come back to it whole
+    monkeypatch.setattr(ad, "_threads", lambda: 2)
+    inputs = conv_inputs(5 * ad._EDGE_BLOCK, 8, seed=35)
+    args = (*map(Tensor, inputs[:2]), *inputs[2:4], *map(Tensor, inputs[4]))
+    expected = ad.gated_conv(*args).values
+    if ad._pool is not None:
+        ad._pool[1].shutdown()
+        ad._pool = None
+    made = []
+
+    class CountedPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            made.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountedPool)
+    results = [None] * 4
+
+    def call(k):
+        results[k] = [ad.gated_conv(*args).values for _ in range(5)]
+
+    callers = [threading.Thread(target=call, args=(k,)) for k in range(len(results))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    assert all(np.array_equal(out, expected) for outs in results for out in outs)
+    assert len(made) == 1
+    pool_threads = [t for t in threading.enumerate() if t.name.startswith("gated_conv")]
+    assert len(pool_threads) <= ad._MAX_THREADS - 1
+
+
+def _child_conv(conn, inputs):
+    feats, edges, src, dst, weights, _ = inputs
+    conn.send(ad.gated_conv(Tensor(feats), Tensor(edges), src, dst,
+                            *map(Tensor, weights)).values)
+    conn.close()
+
+
+def test_a_forked_child_makes_its_own_pool(monkeypatch):
+    # a child forked after the pool ran has none of its threads; with the
+    # parent's pool it would wait for ever on the first span it handed out
+    monkeypatch.setattr(ad, "_threads", lambda: 2)
+    inputs = conv_inputs(5 * ad._EDGE_BLOCK, 16, seed=33)
+    expected = conv_bits(inputs, 2, monkeypatch)[0]
+    assert ad._pool is not None and ad._pool[0] == os.getpid()
+    ctx = multiprocessing.get_context("fork")
+    receive, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_child_conv, args=(send, inputs))
+    child.start()
+    send.close()
+    try:
+        assert receive.poll(30), "the forked child did not finish its gated_conv"
+        got = receive.recv()
+    finally:
+        child.join(10)
+        if child.is_alive():
+            child.kill()
+            child.join(10)
+    assert not child.is_alive() and child.exitcode == 0
+    assert not multiprocessing.active_children()
+    assert np.array_equal(got, expected)
+
+
+def test_importing_and_initialising_starts_no_thread():
+    code = ("import threading; from crystalpretrain import datasets, model; "
+            "model.init_params(model.ModelConfig(), seed=0); "
+            "print(threading.active_count())")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, check=True,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert done.stdout.strip() == "1"

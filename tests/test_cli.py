@@ -257,6 +257,8 @@ BAD_INPUTS = {
     "finetuned-target-std-zero": ("finetuned", {"target_std": 0.0}),
     # configuration errors, exit 2
     "config-not-utf8": ("config", "model.n_conv = 1\nmodel.hidden_dim = 6\udcff\n"),
+    # lines end at \r too, as text mode splits them
+    "config-not-utf8-cr": ("config", "model.n_conv = 1\rmodel.hidden_dim = 6\udcff\r"),
     # a fine-tuned checkpoint with one tensor deleted or one row short, read by
     # (command, tensor, edit)
     "evaluate-tensor-missing": ("tensor", ("evaluate", "head.w2", "missing")),
@@ -330,6 +332,7 @@ def test_bad_input_exits_2(case, synth_dir, tmp_path, capsys, request):
     assert err.startswith("configuration error")
     kind, content = BAD_INPUTS[case]
     assert (f"{bad}:2:" if kind == "config" else content[1]) in err  # names the line or tensor
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
