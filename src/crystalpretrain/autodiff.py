@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import os
 import threading
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -390,10 +390,22 @@ def _run_all(jobs, threads: int) -> list:
     return [first] + [future.result() for future in futures]
 
 
-def edge_runs(src, dst) -> tuple[list, list]:
-    """The rows of src and of dst grouped by id, as gated_conv's runs takes
-    them: made once per graph batch, they serve every layer over it."""
-    return _runs(np.asarray(src, dtype=np.int64)), _runs(np.asarray(dst, dtype=np.int64))
+class EdgeRuns:
+    """The rows of src and of dst grouped by id (_runs), as gated_conv's runs
+    takes them. Made once per graph batch, they serve every layer over it;
+    each grouping is made on first use, so only a backward groups dst."""
+
+    def __init__(self, src, dst):
+        self.src = np.asarray(src, dtype=np.int64)
+        self.dst = np.asarray(dst, dtype=np.int64)
+
+    @cached_property
+    def by_src(self):
+        return _runs(self.src)
+
+    @cached_property
+    def by_dst(self):
+        return _runs(self.dst)
 
 
 def gated_conv(v, e, src, dst, gate_weight, gate_bias, self_weight, self_bias,
@@ -406,7 +418,7 @@ def gated_conv(v, e, src, dst, gate_weight, gate_bias, self_weight, self_bias,
     W_a, W_b, W_e, so the edge pre-activation is (v W_a)[src] + (v W_b)[dst]
     + e W_e + b: node-sized matmuls plus one over the edge features.
 
-    runs, if given, must be edge_runs(src, dst); a batch makes it once for
+    runs, if given, must be EdgeRuns(src, dst); a batch makes it once for
     all its layers. Without it the op groups the rows of src, and a
     backward those of dst, itself.
 
@@ -481,7 +493,8 @@ def gated_conv(v, e, src, dst, gate_weight, gate_bias, self_weight, self_bias,
 
     _run_all([partial(forward_span, lo, hi, *np.empty((2, block, 2 * h)),
                       *np.empty((2, block, h))) for lo, hi in spans], len(spans))
-    by_src, by_dst = runs if runs is not None else (_runs(src), None)
+    runs = runs if runs is not None else EdgeRuns(src, dst)
+    by_src = runs.by_src
 
     def backward_span(lo, hi, g, g_msg, tmp):
         # the pre-activation gradient's gate half, g_msg * msg * (1 - gate),
@@ -496,17 +509,16 @@ def gated_conv(v, e, src, dst, gate_weight, gate_bias, self_weight, self_bias,
             np.multiply(gm, gate[start:stop], out=t)
             filt[start:stop] *= t
 
-    def reduce_half(half, dst_runs):
-        return (_sum_runs(half, by_src, n), _sum_runs(half, dst_runs, n),
+    def reduce_half(half, by_dst):
+        return (_sum_runs(half, by_src, n), _sum_runs(half, by_dst, n),
                 half.sum(axis=0, keepdims=True), e.values.T @ half)
 
     def backward_fn(g):
         _run_all([partial(backward_span, lo, hi, g, *np.empty((2, block, h)))
                   for lo, hi in spans], len(spans))
         g_gate, g_filt = msg, filt
-        dst_runs = _runs(dst) if by_dst is None else by_dst
         (src_gate, dst_gate, b_gate, e_gate), (src_filt, dst_filt, b_filt, e_filt) = _run_all(
-            [partial(reduce_half, half, dst_runs) for half in (g_gate, g_filt)], len(spans))
+            [partial(reduce_half, half, runs.by_dst) for half in (g_gate, g_filt)], len(spans))
         g_src = np.concatenate([src_gate, src_filt], axis=1)
         g_dst = np.concatenate([dst_gate, dst_filt], axis=1)
         g_node = np.concatenate([v.values.T @ g_src, v.values.T @ g_dst])

@@ -10,10 +10,12 @@ edges, and runs the edge-sized work in blocks of edge rows that fit in L2,
 shared between two threads where the process may use two CPUs, with the
 same bits as on one. A training step keeps the gate, the message and the
 filter's sigmoid per edge, not the pre-activation, and the backward writes
-its gradient over the last two. build_batch groups the edge rows by anchor
-and by neighbour once (autodiff.edge_runs), and every layer reuses that
-grouping. The parameters keep their per-gate names and shapes.
-Mean pooling over each crystal's nodes yields the crystal vector.
+its gradient over the last two. A batch groups its edge rows by anchor
+once, and by neighbour the first time a backward needs them
+(autodiff.EdgeRuns); every layer reuses both groupings, and forward-only
+inference never groups by neighbour. The parameters keep their per-gate
+names and shapes. Mean pooling over each crystal's nodes yields the
+crystal vector.
 """
 
 from __future__ import annotations
@@ -122,32 +124,34 @@ class GraphBatch:
     edge_features: np.ndarray
     crystal_ids: np.ndarray
     n_crystals: int
-    edge_runs: tuple  # autodiff.edge_runs(src, dst), shared by every layer
+    edge_runs: ad.EdgeRuns  # the edge rows grouped by src and dst, shared by every layer
 
 
-def build_batch(graphs: list[CrystalGraph]) -> GraphBatch:
-    node_z, keeps, srcs, dsts, feats, segs = [], [], [], [], [], []
-    offset = 0
-    for k, g in enumerate(graphs):
-        node_z.append(g.node_z)
-        keeps.append(np.where(g.node_masked, 0.0, 1.0))
-        srcs.append(g.src + offset)
-        dsts.append(g.dst + offset)
-        feats.append(g.edge_features)
-        segs.append(np.full(g.n_nodes, k, dtype=np.int64))
-        offset += g.n_nodes
-    src, dst = np.concatenate(srcs), np.concatenate(dsts)
+def build_batch(graphs: list[CrystalGraph], node_masked: np.ndarray | None = None,
+                edge_features: np.ndarray | None = None) -> GraphBatch:
+    """The graphs as one disjoint union, in order. node_masked and
+    edge_features, if given, are the graphs' node masks and edge features
+    concatenated (augment.batch_views' views), taken in place of their own."""
+    n_nodes = np.array([g.n_nodes for g in graphs], dtype=np.int64)
+    n_edges = np.array([g.n_edges for g in graphs], dtype=np.int64)
+    offsets = np.repeat(np.cumsum(n_nodes) - n_nodes, n_edges)
+    if node_masked is None:
+        node_masked = np.concatenate([g.node_masked for g in graphs])
+    if edge_features is None:
+        edge_features = np.concatenate([g.edge_features for g in graphs])
+    src = np.concatenate([g.src for g in graphs]) + offsets
+    dst = np.concatenate([g.dst for g in graphs]) + offsets
     return GraphBatch(
-        node_z=np.concatenate(node_z),
+        node_z=np.concatenate([g.node_z for g in graphs]),
         node_matrix=(None if graphs[0].node_features is None
                      else np.concatenate([g.node_features for g in graphs])),
-        node_keep=np.concatenate(keeps),
+        node_keep=np.where(node_masked, 0.0, 1.0),
         src=src,
         dst=dst,
-        edge_features=np.concatenate(feats),
-        crystal_ids=np.concatenate(segs),
+        edge_features=edge_features,
+        crystal_ids=np.repeat(np.arange(len(graphs), dtype=np.int64), n_nodes),
         n_crystals=len(graphs),
-        edge_runs=ad.edge_runs(src, dst),
+        edge_runs=ad.EdgeRuns(src, dst),
     )
 
 

@@ -3,27 +3,27 @@ dataset splitting, metrics, and logging.
 
 Runs are bitwise deterministic for a given (seed, config, dataset): shuffles
 and augmentations draw from streams derived per (seed, purpose, epoch,
-sample, view), so the worker count never changes results.
+sample, view), so neither the worker count that builds the graphs nor the
+batching of the views changes results.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
-from .augment import AugmentConfig, make_views
+from .augment import AugmentConfig, batch_views, make_views
 from .autodiff import Tape, Tensor, backward
 from .checkpoint import (Checkpoint, CheckpointError, checkpoint_from_params,
                          save_checkpoint, write_csv)
 from .datasets import DatasetManifest, ManifestRecord, load_structures
 from .graphs import FeatureTable, GraphConfig, build_graph, load_feature_table
 from .losses import LossConfig, compute_loss
-from .model import (ModelConfig, build_batch, encode, encoder_param_names,
+from .model import (GraphBatch, ModelConfig, build_batch, encode, encoder_param_names,
                     finetune_param_names, head_forward, init_params, param_spec,
                     pretrain_param_names, project)
 from .rng import RngStream
@@ -230,6 +230,7 @@ def load_graph_dataset(manifest: DatasetManifest, graph_cfg: GraphConfig,
         return build_graph(structure, graph_cfg, table)
 
     if n_workers > 1:
+        from concurrent.futures import ThreadPoolExecutor  # only a pool needs it
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
             graphs = dict(zip(structures, pool.map(build, structures.values())))
     else:
@@ -368,22 +369,33 @@ def _epochs(params: dict[str, Tensor], adam: AdamState, train_idx: np.ndarray,
 # pretraining
 # ---------------------------------------------------------------------------
 
+def _view_keys(cfg: TrainConfig, epoch: int, indices, tag: str) -> np.ndarray:
+    """The stream key codes (cfg.seed, tag, epoch, index, view) of both views
+    of each indexed crystal, one row per view, crystal by crystal."""
+    indices = np.asarray(indices, dtype=np.int64)
+    keys = np.empty((2 * len(indices), 5), dtype=np.uint32)
+    keys[:, :3] = RngStream(cfg.seed, tag, epoch).key
+    keys[:, 3] = np.repeat(indices & 0xFFFFFFFF, 2)
+    keys[:, 4] = np.tile((0, 1), len(indices))
+    return keys
+
+
 def view_pair(graph, cfg: TrainConfig, epoch: int, index: int, tag: str = "augment"):
     """The two augmented views of the crystal at dataset position index in
     epoch, drawn from the streams (cfg.seed, tag, epoch, index, view)."""
-    streams = tuple(RngStream(cfg.seed, tag, epoch, int(index), view) for view in (0, 1))
+    streams = tuple(RngStream(*key) for key in _view_keys(cfg, epoch, [index], tag).tolist())
     return make_views(graph, cfg.augment, streams, cfg.graph)
 
 
-def _view_pairs(dataset: GraphDataset, indices, cfg: TrainConfig, epoch: int,
-                tag: str):
-    def one(i):
-        return view_pair(dataset.graphs[i], cfg, epoch, i, tag)
-
-    if cfg.n_workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.n_workers) as pool:
-            return list(pool.map(one, indices))
-    return [one(i) for i in indices]
+def view_batch(dataset: GraphDataset, indices, cfg: TrainConfig, epoch: int,
+               tag: str = "augment") -> GraphBatch:
+    """build_batch of the view_pair views of the indexed crystals, both views
+    of each in turn, bit for bit, drawn for the whole batch at once
+    (augment.batch_views)."""
+    graphs = [dataset.graphs[i] for i in np.asarray(indices).tolist() for _ in (0, 1)]
+    node_masked, edge_features = batch_views(graphs, cfg.augment,
+                                             _view_keys(cfg, epoch, indices, tag), cfg.graph)
+    return build_batch(graphs, node_masked, edge_features)
 
 
 def pretrain(dataset: GraphDataset, cfg: TrainConfig, out_dir=None) -> TrainResult:
@@ -412,8 +424,7 @@ def pretrain(dataset: GraphDataset, cfg: TrainConfig, out_dir=None) -> TrainResu
         out_dir.mkdir(parents=True, exist_ok=True)
 
     def views_loss(indices, epoch, tag="augment") -> Tensor:
-        pairs = _view_pairs(dataset, indices, cfg, epoch, tag)
-        batch = build_batch([view for pair in pairs for view in pair])
+        batch = view_batch(dataset, indices, cfg, epoch, tag)
         z = project(params, encode(params, batch, cfg.model))
         labels = (_record_values(dataset, indices, "surrogate_label")
                   if cfg.loss.needs_labels else None)

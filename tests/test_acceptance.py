@@ -18,7 +18,7 @@ from crystalpretrain.autodiff import Tensor, grad_check
 from crystalpretrain.checkpoint import load_checkpoint, save_checkpoint
 from crystalpretrain.cli import main as cli_main
 from crystalpretrain.datasets import (SyntheticConfig, generate_synthetic_dataset,
-                                      write_dataset)
+                                      load_manifest, write_dataset)
 from crystalpretrain.graphs import (CrystalGraph, GraphConfig, build_graph,
                                     gaussian_expand, neighbor_list)
 from crystalpretrain.losses import (LossConfig, barlow_twins, compute_loss, nt_xent,
@@ -26,8 +26,8 @@ from crystalpretrain.losses import (LossConfig, barlow_twins, compute_loss, nt_x
 from crystalpretrain.model import ModelConfig, build_batch, encode, init_params, project
 from crystalpretrain.rng import RngStream
 from crystalpretrain.structures import CrystalStructure
-from crystalpretrain.train import (GraphDataset, TrainConfig, finetune, pretrain,
-                                   split_dataset)
+from crystalpretrain.train import (GraphDataset, TrainConfig, finetune,
+                                   load_graph_dataset, pretrain, split_dataset)
 from conftest import random_structure
 from oracles import brute_force_neighbors, count_elements
 
@@ -354,11 +354,11 @@ def test_criterion_6_gndn_contract():
 def test_criterion_7_pretrain_determinism(tmp_path):
     structures, manifest = generate_synthetic_dataset(
         SyntheticConfig(n_crystals=64, n_classes=2, max_atoms=5, seed=11))
+    manifest = load_manifest(write_dataset(structures, manifest, tmp_path / "data"))
     gcfg = GraphConfig(radius=6.0, max_neighbors=12)
-    graphs = [build_graph(s, gcfg) for s in structures]
-    dataset = GraphDataset(records=list(manifest.records), graphs=graphs)
 
     def run(workers, tag):
+        dataset = load_graph_dataset(manifest, gcfg, n_workers=workers)
         out = tmp_path / f"run-{tag}"
         cfg = TrainConfig(loss=LossConfig(kind="sup-bt"), augment=AugmentConfig(),
                           graph=gcfg,

@@ -322,7 +322,7 @@ def test_gated_conv_bits_do_not_depend_on_threads(h, blocks, shuffle_src, monkey
     two = conv_bits(inputs, 2, monkeypatch)
     assert len(ad._spans(m)) == (2 if m >= 4 * ad._EDGE_BLOCK else 1)
     # the batch's shared runs give the same bits as the op's own
-    runs = ad.edge_runs(inputs[2], inputs[3])
+    runs = ad.EdgeRuns(inputs[2], inputs[3])
     with_runs = ad.gated_conv(*map(Tensor, inputs[:2]), *inputs[2:4],
                               *map(Tensor, inputs[4]), runs=runs)
     assert np.array_equal(with_runs.values, one[0])

@@ -209,6 +209,28 @@ def test_conv_gradient_check():
     assert err < 1e-4
 
 
+def test_batch_groups_dst_only_for_a_backward(monkeypatch):
+    graphs = toy_graphs(4, seed=2)
+    params = init_params(CFG, seed=3)
+    batch = build_batch(graphs)
+    grouped = []
+    runs = ad._runs
+    monkeypatch.setattr(ad, "_runs", lambda ids: grouped.append(ids) or runs(ids))
+
+    def dst_groupings():
+        return sum(ids is batch.edge_runs.dst for ids in grouped)
+
+    untaped = encode(params, batch, CFG)
+    assert dst_groupings() == 0
+    with ad.Tape() as tape:
+        pooled = encode(params, batch, CFG)
+        assert dst_groupings() == 0
+        ad.backward(tape, ad.sum_(pooled))
+    # one grouping of dst serves every layer's backward
+    assert dst_groupings() == 1 and CFG.n_conv > 1
+    assert np.array_equal(untaped.values, pooled.values)
+
+
 def block_graphs():
     """Toy graphs with more than ten blocks of ad._EDGE_BLOCK edges between
     them; structures with an atom isolated at GCHECK's radius are skipped."""

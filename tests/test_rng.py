@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from crystalpretrain.rng import RngStream
+from crystalpretrain.rng import RngStream, generators, seed_states
 
 KEYS = {
     "empty": (),
@@ -28,3 +28,45 @@ def test_generator_draws_match_tuple_seeded_stream(name):
     assert np.array_equal(gen.permutation(20), reference.permutation(20))
     assert np.array_equal(gen.integers(0, 2**63, size=4), reference.integers(0, 2**63, size=4))
 
+
+def random_keys(seed: int, lengths=range(13), per_length=100) -> list[np.ndarray]:
+    """per_length random (n, L) arrays of key codes for each length L."""
+    gen = np.random.default_rng(seed)
+    return [gen.integers(0, 2**32, size=(per_length, length), dtype=np.uint64).astype(np.uint32)
+            for length in lengths]
+
+
+def codes(key) -> np.ndarray:
+    """The one-row (1, L) code array of a key tuple."""
+    return np.array(RngStream(*key).key, dtype=np.uint32).reshape(1, -1)
+
+
+@pytest.mark.parametrize("name", sorted(KEYS))
+def test_seed_states_match_seed_sequence_for_each_key(name):
+    state = seed_states(codes(KEYS[name]))
+    reference = np.random.SeedSequence(RngStream(*KEYS[name]).key).generate_state(4, np.uint64)
+    assert state.dtype == np.uint64 and state.shape == (1, 4)
+    assert np.array_equal(state[0], reference)
+    gen, stream = generators(codes(KEYS[name]))[0], RngStream(*KEYS[name]).generator()
+    assert np.array_equal(gen.random(6), stream.random(6))
+    assert np.array_equal(gen.choice(50, size=9, replace=False),
+                          stream.choice(50, size=9, replace=False))
+    assert np.array_equal(gen.uniform(-0.5, 0.5, size=5), stream.uniform(-0.5, 0.5, size=5))
+
+
+def test_seed_states_match_seed_sequence_on_random_keys():
+    for keys in random_keys(seed=3):
+        states = seed_states(keys)
+        assert states.shape == (len(keys), 4)
+        for key, state in zip(keys, states):
+            assert np.array_equal(state, np.random.SeedSequence(key).generate_state(4, np.uint64))
+
+
+def test_generators_draw_what_their_streams_draw():
+    for keys in random_keys(seed=4, lengths=(1, 4, 5, 6, 9), per_length=200):
+        for key, gen in zip(keys, generators(keys)):
+            stream = RngStream(*key.tolist()).generator()
+            assert np.array_equal(gen.choice(30, size=4, replace=False),
+                                  stream.choice(30, size=4, replace=False))
+            assert np.array_equal(gen.uniform(-0.5, 0.5, size=7),
+                                  stream.uniform(-0.5, 0.5, size=7))

@@ -1,6 +1,9 @@
 import csv
 import math
-from dataclasses import replace
+import os
+import subprocess
+import sys
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -9,15 +12,19 @@ from crystalpretrain.augment import AugmentConfig
 from crystalpretrain.autodiff import Tensor
 from crystalpretrain.checkpoint import checkpoint_from_params
 from crystalpretrain.datasets import (ManifestRecord, SyntheticConfig,
-                                      generate_synthetic_dataset)
-from crystalpretrain.graphs import GraphConfig, build_graph
+                                      generate_synthetic_dataset, load_manifest,
+                                      write_dataset)
+from crystalpretrain.elements import MAX_Z
+from crystalpretrain.graphs import (CrystalGraph, FeatureTable, GraphConfig, build_graph,
+                                    gaussian_expand)
 from crystalpretrain.losses import LossConfig
-from crystalpretrain.model import ModelConfig, build_batch, encode, init_params
+from crystalpretrain.model import GraphBatch, ModelConfig, build_batch, encode, init_params
 from crystalpretrain.train import (AdamState, EmptySplit, GraphDataset, Metrics,
                                    MissingSurrogateLabel, MissingTarget,
                                    TrainConfig, TrainError, adam_step,
-                                   evaluate_checkpoint, finetune,
-                                   mean_absolute_error, pretrain, split_dataset)
+                                   evaluate_checkpoint, finetune, load_graph_dataset,
+                                   mean_absolute_error, pretrain, split_dataset,
+                                   view_batch, view_pair)
 
 SMALL_MODEL = ModelConfig(hidden_dim=8, n_conv=2, embed_dim=8, head_hidden=8)
 SMALL_GRAPH = GraphConfig(radius=6.0, max_neighbors=12)
@@ -218,15 +225,76 @@ def test_pretrain_checkpoint_complete():
     assert result.checkpoint.metadata["loss_kind"] == "sup-bt"
 
 
-def test_pretrain_bitwise_deterministic_across_workers():
-    dataset = synthetic_graph_dataset(32, seed=2)
+def test_pretrain_bitwise_deterministic_across_workers(tmp_path):
+    structures, manifest = generate_synthetic_dataset(
+        SyntheticConfig(n_crystals=32, n_classes=2, max_atoms=5, target_noise=0.02, seed=2))
+    manifest = load_manifest(write_dataset(structures, manifest, tmp_path))
     outs = []
     for workers in (1, 4, 1):
         cfg = small_config(epochs=2, n_workers=workers)
+        dataset = load_graph_dataset(manifest, cfg.graph, n_workers=workers)
         result = pretrain(dataset, cfg)
         outs.append((tuple(result.log.rows),
                      {n: a.tobytes() for n, a in result.checkpoint.tensors.items()}))
     assert outs[0] == outs[1] == outs[2]
+
+
+def test_importing_and_initialising_loads_no_thread_pool_module():
+    code = ("import sys; from crystalpretrain import datasets, model; "
+            "model.init_params(model.ModelConfig(), seed=0); "
+            "print('concurrent.futures' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, check=True,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert done.stdout.strip() == "False"
+
+
+VIEW_AUGMENTS = {
+    "default": AugmentConfig(),
+    "off": AugmentConfig(atom_mask_fraction=0.0, edge_mask_fraction=0.0, gndn_delta=0.0),
+    "mask-all": AugmentConfig(atom_mask_fraction=1.0, edge_mask_fraction=1.0, gndn_delta=0.3),
+}
+
+
+def one_edge_graph(graph_cfg=SMALL_GRAPH) -> CrystalGraph:
+    distances = np.array([3.1])
+    return CrystalGraph(node_z=np.array([26]), src=np.array([0]), dst=np.array([0]),
+                        images=np.array([[1, 0, 0]]), distances=distances,
+                        edge_features=gaussian_expand(distances, graph_cfg))
+
+
+def assert_batches_identical(got: GraphBatch, expected: GraphBatch):
+    for field in fields(GraphBatch):
+        if field.name == "edge_runs":
+            continue
+        a, b = getattr(got, field.name), getattr(expected, field.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b), field.name
+        else:
+            assert a == b, field.name
+
+
+@pytest.mark.parametrize("augment", sorted(VIEW_AUGMENTS))
+@pytest.mark.parametrize("epoch", [0, 3])
+@pytest.mark.parametrize("tag", ["augment", "eval-augment"])
+@pytest.mark.parametrize("table", [False, True], ids=["embedding", "feature-table"])
+def test_view_batch_is_build_batch_of_view_pairs(augment, epoch, tag, table):
+    structures, manifest = generate_synthetic_dataset(
+        SyntheticConfig(n_crystals=40, n_classes=2, max_atoms=6, seed=8))
+    rows = FeatureTable(rows={z: np.array([z, 1.0 / z, z % 7]) for z in range(1, MAX_Z + 1)},
+                        width=3) if table else None
+    graphs = [build_graph(s, SMALL_GRAPH, rows) for s in structures]
+    graphs[5] = one_edge_graph()
+    if table:
+        graphs[5].node_features = rows.lookup(26)[None, :]
+    dataset = GraphDataset(records=list(manifest.records), graphs=graphs)
+    cfg = small_config(augment=VIEW_AUGMENTS[augment], seed=11)
+    order = np.random.default_rng(epoch).permutation(40)
+    for start in range(0, 40, 16):  # the last batch is short
+        idx = order[start:start + 16]
+        expected = build_batch([view for i in idx
+                                for view in view_pair(graphs[i], cfg, epoch, i, tag)])
+        assert_batches_identical(view_batch(dataset, idx, cfg, epoch, tag), expected)
 
 
 def test_pretrain_logs_every_step():
