@@ -9,8 +9,10 @@ the noised distances. A view owns its masks, distances and edge features
 and shares every other array with the graph it was made from, so nothing
 may write to a view's arrays.
 
-make_views draws the two views of one crystal; batch_views draws a whole
-batch's views with the same bits, its streams seeded in one pass and its
+One function, _draw, says what a view draws, and both entry points call it:
+make_views draws the two views of one crystal, seeding each child stream
+on its own and expanding each view's distances; batch_views draws a whole
+batch's views with the same bits, its children seeded in one pass and its
 noised distances expanded at once.
 """
 
@@ -47,13 +49,33 @@ def mask_count(fraction: float, n: int) -> int:
     return max(1, int(math.floor(fraction * n + 0.5)))
 
 
-def _masked(already: np.ndarray, fraction: float, rng: RngStream) -> np.ndarray:
+def _masked(already: np.ndarray, fraction: float, gen: np.random.Generator) -> np.ndarray:
     """A copy of the mask `already` with mask_count(fraction, n) random items set."""
     out = already.copy()
     k = mask_count(fraction, len(out))
     if k:
-        out[rng.generator().choice(len(out), size=k, replace=False)] = True
+        out[gen.choice(len(out), size=k, replace=False)] = True
     return out
+
+
+_CHILDREN = ("atom-mask", "edge-mask", "gndn")
+
+
+def _draw(graph: CrystalGraph, cfg: AugmentConfig, gens) -> tuple[np.ndarray, ...]:
+    """One view's node mask, edge mask and noised distances, drawn from the
+    generators of its stream's _CHILDREN, in that order."""
+    atom, edge, gndn = gens
+    return (_masked(graph.node_masked, cfg.atom_mask_fraction, atom),
+            _masked(graph.edge_masked, cfg.edge_mask_fraction, edge),
+            graph.distances + gndn.uniform(-cfg.gndn_delta, cfg.gndn_delta,
+                                           size=len(graph.distances)))
+
+
+def _edge_features(distances: np.ndarray, edge_masked: np.ndarray,
+                   graph_cfg: GraphConfig) -> np.ndarray:
+    edge_features = gaussian_expand(distances, graph_cfg)
+    edge_features[edge_masked] = 0.0
+    return edge_features
 
 
 def make_views(graph: CrystalGraph, cfg: AugmentConfig,
@@ -62,54 +84,25 @@ def make_views(graph: CrystalGraph, cfg: AugmentConfig,
     """Two independent augmented views of one graph, one per stream."""
     views = []
     for stream in streams:
-        node_masked = _masked(graph.node_masked, cfg.atom_mask_fraction,
-                              stream.child("atom-mask"))
-        edge_masked = _masked(graph.edge_masked, cfg.edge_mask_fraction,
-                              stream.child("edge-mask"))
-        distances = graph.distances + stream.child("gndn").generator().uniform(
-            -cfg.gndn_delta, cfg.gndn_delta, size=len(graph.distances))
-        edge_features = gaussian_expand(distances, graph_cfg)
-        edge_features[edge_masked] = 0.0
-        views.append(replace(graph, distances=distances, edge_features=edge_features,
+        node_masked, edge_masked, distances = _draw(
+            graph, cfg, [stream.child(name).generator() for name in _CHILDREN])
+        views.append(replace(graph, distances=distances,
+                             edge_features=_edge_features(distances, edge_masked, graph_cfg),
                              node_masked=node_masked, edge_masked=edge_masked))
     return views[0], views[1]
-
-
-_CHILDREN = tuple(RngStream(name).key[0] for name in ("atom-mask", "edge-mask", "gndn"))
 
 
 def batch_views(graphs: list[CrystalGraph], cfg: AugmentConfig, keys: np.ndarray,
                 graph_cfg: GraphConfig) -> tuple[np.ndarray, np.ndarray]:
     """The node masks and edge features of many views, each concatenated in
     row order: view r of graphs[r] is the one make_views draws from the
-    stream with key codes keys[r] (an (n, L) array), bit for bit. Each
-    stream draws what make_views draws, and all are seeded together
-    (rng.generators); the noised distances go through one gaussian_expand."""
-    n_nodes = [g.n_nodes for g in graphs]
-    n_edges = [g.n_edges for g in graphs]
-    draws = []  # per child: the views that draw, their item counts, their mask sizes
-    for fraction, sizes in ((cfg.atom_mask_fraction, n_nodes),
-                            (cfg.edge_mask_fraction, n_edges)):
-        counts = [mask_count(fraction, n) for n in sizes]
-        draws.append([(r, sizes[r], k) for r, k in enumerate(counts) if k])
-    draws.append([(r, m, m) for r, m in enumerate(n_edges)])
-    rows = [r for child in draws for r, _, _ in child]
-    children = np.repeat(_CHILDREN, [len(child) for child in draws])
-    gens = iter(generators(np.column_stack([np.asarray(keys, dtype=np.uint32)[rows],
-                                            children])))
-
-    node_masked = np.concatenate([g.node_masked for g in graphs])
-    edge_masked = np.concatenate([g.edge_masked for g in graphs])
-    for masked, sizes, child in ((node_masked, n_nodes, draws[0]),
-                                 (edge_masked, n_edges, draws[1])):
-        starts = np.cumsum(sizes) - sizes
-        picks = [starts[r] + next(gens).choice(n, size=k, replace=False)
-                 for r, n, k in child]
-        if picks:
-            masked[np.concatenate(picks)] = True
-    noise = [next(gens).uniform(-cfg.gndn_delta, cfg.gndn_delta, size=m)
-             for _, m, _ in draws[2]]
-    distances = np.concatenate([g.distances for g in graphs]) + np.concatenate(noise)
-    edge_features = gaussian_expand(distances, graph_cfg)
-    edge_features[edge_masked] = 0.0
-    return node_masked, edge_features
+    stream with key codes keys[r] (an (n, L) array), bit for bit. All the
+    streams' children are seeded together (rng.generators), and the noised
+    distances go through one gaussian_expand."""
+    keys, width = np.asarray(keys, dtype=np.uint32), len(_CHILDREN)
+    gens = generators(np.column_stack([
+        np.repeat(keys, width, axis=0),
+        np.tile([RngStream(name).key[0] for name in _CHILDREN], len(keys))]))
+    draws = [_draw(g, cfg, gens[width * r:width * (r + 1)]) for r, g in enumerate(graphs)]
+    node_masked, edge_masked, distances = (np.concatenate(a) for a in zip(*draws))
+    return node_masked, _edge_features(distances, edge_masked, graph_cfg)

@@ -391,9 +391,10 @@ def _run_all(jobs, threads: int) -> list:
 
 
 class EdgeRuns:
-    """The rows of src and of dst grouped by id (_runs), as gated_conv's runs
-    takes them. Made once per graph batch, they serve every layer over it;
-    each grouping is made on first use, so only a backward groups dst."""
+    """A batch's edges i -> j: the anchors src and neighbours dst as int64,
+    and their rows grouped by id (_runs). Made once per graph batch, it
+    serves every layer over it; each grouping is made on first use, so only
+    a backward groups dst."""
 
     def __init__(self, src, dst):
         self.src = np.asarray(src, dtype=np.int64)
@@ -408,19 +409,17 @@ class EdgeRuns:
         return _runs(self.dst)
 
 
-def gated_conv(v, e, src, dst, gate_weight, gate_bias, self_weight, self_bias,
-               runs=None) -> Tensor:
+def gated_conv(v, e, edges: EdgeRuns, gate_weight, gate_bias, self_weight,
+               self_bias) -> Tensor:
     """CGCNN gated residual convolution as one op:
     v + sum over edges i->j of sigmoid(z W_g + b_g) * softplus(z W_s + b_s),
-    z = [v_i, v_j, e_ij], added onto each anchor i = src.
+    z = [v_i, v_j, e_ij], over the edges i = edges.src -> j = edges.dst,
+    added onto each anchor i. The edges carry their own groupings by src
+    and dst, so a batch gives every layer one EdgeRuns.
 
     Gate and filter share one (2h + k, 2h) matrix W, cut into row blocks
     W_a, W_b, W_e, so the edge pre-activation is (v W_a)[src] + (v W_b)[dst]
     + e W_e + b: node-sized matmuls plus one over the edge features.
-
-    runs, if given, must be EdgeRuns(src, dst); a batch makes it once for
-    all its layers. Without it the op groups the rows of src, and a
-    backward those of dst, itself.
 
     The edge-sized work runs in blocks of _EDGE_BLOCK edge rows: each block's
     pre-activation is built in one reused buffer and turned, by in-place
@@ -454,7 +453,7 @@ def gated_conv(v, e, src, dst, gate_weight, gate_bias, self_weight, self_bias,
     than two blocks per thread runs on the calling thread alone.
     """
     v, e, *weights = map(_as_tensor, (v, e, gate_weight, gate_bias, self_weight, self_bias))
-    src, dst = np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)
+    src, dst = edges.src, edges.dst
     shapes = [t.shape for t in (v, e, *weights)]
     if len(shapes[0]) != 2 or len(shapes[1]) != 2:
         raise ShapeMismatch("gated_conv", *shapes)
@@ -493,8 +492,7 @@ def gated_conv(v, e, src, dst, gate_weight, gate_bias, self_weight, self_bias,
 
     _run_all([partial(forward_span, lo, hi, *np.empty((2, block, 2 * h)),
                       *np.empty((2, block, h))) for lo, hi in spans], len(spans))
-    runs = runs if runs is not None else EdgeRuns(src, dst)
-    by_src = runs.by_src
+    by_src = edges.by_src
 
     def backward_span(lo, hi, g, g_msg, tmp):
         # the pre-activation gradient's gate half, g_msg * msg * (1 - gate),
@@ -518,7 +516,7 @@ def gated_conv(v, e, src, dst, gate_weight, gate_bias, self_weight, self_bias,
                   for lo, hi in spans], len(spans))
         g_gate, g_filt = msg, filt
         (src_gate, dst_gate, b_gate, e_gate), (src_filt, dst_filt, b_filt, e_filt) = _run_all(
-            [partial(reduce_half, half, runs.by_dst) for half in (g_gate, g_filt)], len(spans))
+            [partial(reduce_half, half, edges.by_dst) for half in (g_gate, g_filt)], len(spans))
         g_src = np.concatenate([src_gate, src_filt], axis=1)
         g_dst = np.concatenate([dst_gate, dst_filt], axis=1)
         g_node = np.concatenate([v.values.T @ g_src, v.values.T @ g_dst])

@@ -80,9 +80,6 @@ class DatasetManifest:
             if rec.split is not None and rec.split not in SPLIT_NAMES:
                 raise ManifestError(f"record {rec.id!r}: bad split {rec.split!r}")
 
-    def __len__(self) -> int:
-        return len(self.records)
-
 
 def load_manifest(path) -> DatasetManifest:
     """Read a manifest CSV; relative cif paths resolve against its directory

@@ -10,12 +10,12 @@ edges, and runs the edge-sized work in blocks of edge rows that fit in L2,
 shared between two threads where the process may use two CPUs, with the
 same bits as on one. A training step keeps the gate, the message and the
 filter's sigmoid per edge, not the pre-activation, and the backward writes
-its gradient over the last two. A batch groups its edge rows by anchor
-once, and by neighbour the first time a backward needs them
-(autodiff.EdgeRuns); every layer reuses both groupings, and forward-only
-inference never groups by neighbour. The parameters keep their per-gate
-names and shapes. Mean pooling over each crystal's nodes yields the
-crystal vector.
+its gradient over the last two. A batch holds its edges in one
+autodiff.EdgeRuns, which every layer takes: it groups the edge rows by
+anchor once, and by neighbour the first time a backward needs them, and
+forward-only inference never groups by neighbour. The parameters keep
+their per-gate names and shapes. Mean pooling over each crystal's nodes
+yields the crystal vector.
 """
 
 from __future__ import annotations
@@ -119,12 +119,10 @@ class GraphBatch:
     node_z: np.ndarray
     node_matrix: np.ndarray | None  # external-table node features
     node_keep: np.ndarray  # 1.0 for live nodes, 0.0 for masked
-    src: np.ndarray
-    dst: np.ndarray
+    edges: ad.EdgeRuns  # src and dst, offset into the union; shared by every layer
     edge_features: np.ndarray
     crystal_ids: np.ndarray
     n_crystals: int
-    edge_runs: ad.EdgeRuns  # the edge rows grouped by src and dst, shared by every layer
 
 
 def build_batch(graphs: list[CrystalGraph], node_masked: np.ndarray | None = None,
@@ -139,19 +137,16 @@ def build_batch(graphs: list[CrystalGraph], node_masked: np.ndarray | None = Non
         node_masked = np.concatenate([g.node_masked for g in graphs])
     if edge_features is None:
         edge_features = np.concatenate([g.edge_features for g in graphs])
-    src = np.concatenate([g.src for g in graphs]) + offsets
-    dst = np.concatenate([g.dst for g in graphs]) + offsets
     return GraphBatch(
         node_z=np.concatenate([g.node_z for g in graphs]),
         node_matrix=(None if graphs[0].node_features is None
                      else np.concatenate([g.node_features for g in graphs])),
         node_keep=np.where(node_masked, 0.0, 1.0),
-        src=src,
-        dst=dst,
+        edges=ad.EdgeRuns(np.concatenate([g.src for g in graphs]) + offsets,
+                          np.concatenate([g.dst for g in graphs]) + offsets),
         edge_features=edge_features,
         crystal_ids=np.repeat(np.arange(len(graphs), dtype=np.int64), n_nodes),
         n_crystals=len(graphs),
-        edge_runs=ad.EdgeRuns(src, dst),
     )
 
 
@@ -165,9 +160,8 @@ def encode(params: dict[str, Tensor], batch: GraphBatch, cfg: ModelConfig) -> Te
         feats = ad.mul(feats, batch.node_keep[:, None])
     edge_feats = Tensor(batch.edge_features)
     for t in range(cfg.n_conv):
-        feats = ad.gated_conv(feats, edge_feats, batch.src, batch.dst,
+        feats = ad.gated_conv(feats, edge_feats, batch.edges,
                               params[f"conv{t}.gate_weight"], params[f"conv{t}.gate_bias"],
-                              params[f"conv{t}.self_weight"], params[f"conv{t}.self_bias"],
-                              runs=batch.edge_runs)
+                              params[f"conv{t}.self_weight"], params[f"conv{t}.self_bias"])
     # mean over each crystal's nodes; masked atoms still count
     return ad.segment_mean(feats, batch.crystal_ids, batch.n_crystals)

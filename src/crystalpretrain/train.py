@@ -1,10 +1,12 @@
 """Training loops: contrastive pretraining, supervised fine-tuning, Adam,
 dataset splitting, metrics, and logging.
 
-Runs are bitwise deterministic for a given (seed, config, dataset): shuffles
-and augmentations draw from streams derived per (seed, purpose, epoch,
-sample, view), so neither the worker count that builds the graphs nor the
-batching of the views changes results.
+Runs are bitwise deterministic for a given (seed, config, dataset) at a
+fixed BLAS thread count: shuffles and augmentations draw from streams
+derived per (seed, purpose, epoch, sample, view), so neither the worker
+count that builds the graphs nor the batching of the views changes results.
+OpenBLAS may split a product's sums across its threads, so pin its count
+(OPENBLAS_NUM_THREADS=1 before Python starts) to compare runs bit for bit.
 """
 
 from __future__ import annotations

@@ -304,10 +304,11 @@ def conv_bits(inputs, threads, monkeypatch):
     with `threads` threads."""
     feats, edges, src, dst, weights, mix = inputs
     monkeypatch.setattr(ad, "_threads", lambda: threads)
-    untaped = ad.gated_conv(Tensor(feats), Tensor(edges), src, dst, *map(Tensor, weights))
+    untaped = ad.gated_conv(Tensor(feats), Tensor(edges), ad.EdgeRuns(src, dst),
+                            *map(Tensor, weights))
     leaves = [leaf(x) for x in (feats, edges, *weights)]
     with Tape() as tape:
-        out = ad.gated_conv(leaves[0], leaves[1], src, dst, *leaves[2:])
+        out = ad.gated_conv(leaves[0], leaves[1], ad.EdgeRuns(src, dst), *leaves[2:])
         grads = backward(tape, ad.sum_(ad.mul(out, Tensor(mix))))
     return [untaped.values, out.values] + [grads[t] for t in leaves]
 
@@ -321,11 +322,6 @@ def test_gated_conv_bits_do_not_depend_on_threads(h, blocks, shuffle_src, monkey
     one = conv_bits(inputs, 1, monkeypatch)
     two = conv_bits(inputs, 2, monkeypatch)
     assert len(ad._spans(m)) == (2 if m >= 4 * ad._EDGE_BLOCK else 1)
-    # the batch's shared runs give the same bits as the op's own
-    runs = ad.EdgeRuns(inputs[2], inputs[3])
-    with_runs = ad.gated_conv(*map(Tensor, inputs[:2]), *inputs[2:4],
-                              *map(Tensor, inputs[4]), runs=runs)
-    assert np.array_equal(with_runs.values, one[0])
     assert len(one) == len(two) == 8
     for name, a, b in zip(["untaped", "taped", "v", "e", "gate_weight", "gate_bias",
                            "self_weight", "self_bias"], one, two):
@@ -377,7 +373,7 @@ def test_concurrent_callers_make_one_pool_and_keep_their_bits(monkeypatch):
     # call's spans and jobs must come back to it whole
     monkeypatch.setattr(ad, "_threads", lambda: 2)
     inputs = conv_inputs(5 * ad._EDGE_BLOCK, 8, seed=35)
-    args = (*map(Tensor, inputs[:2]), *inputs[2:4], *map(Tensor, inputs[4]))
+    args = (*map(Tensor, inputs[:2]), ad.EdgeRuns(*inputs[2:4]), *map(Tensor, inputs[4]))
     expected = ad.gated_conv(*args).values
     if ad._pool is not None:
         ad._pool[1].shutdown()
@@ -414,7 +410,7 @@ def test_concurrent_callers_make_one_pool_and_keep_their_bits(monkeypatch):
 
 def _child_conv(conn, inputs):
     feats, edges, src, dst, weights, _ = inputs
-    conn.send(ad.gated_conv(Tensor(feats), Tensor(edges), src, dst,
+    conn.send(ad.gated_conv(Tensor(feats), Tensor(edges), ad.EdgeRuns(src, dst),
                             *map(Tensor, weights)).values)
     conn.close()
 

@@ -62,7 +62,7 @@ def test_conv_zero_params_closed_form():
     src = np.array([0, 0, 0, 1, 1])
     dst = np.array([1, 2, 1, 0, 2])
     zeros = lambda shape: Tensor(np.zeros(shape))
-    out = ad.gated_conv(feats, edge_feats, src, dst,
+    out = ad.gated_conv(feats, edge_feats, ad.EdgeRuns(src, dst),
                         zeros((2 * h + k, h)), zeros((1, h)),
                         zeros((2 * h + k, h)), zeros((1, h)))
     per_edge = 0.5 * math.log(2.0)
@@ -197,7 +197,7 @@ def test_conv_gradient_check():
     def f(p):
         named = dict(zip(order, p))
         feats = ad.gather_rows(named["atom_embedding"], batch.node_z - 1)
-        out = ad.gated_conv(feats, Tensor(batch.edge_features), batch.src, batch.dst,
+        out = ad.gated_conv(feats, Tensor(batch.edge_features), batch.edges,
                             named["conv0.gate_weight"], named["conv0.gate_bias"],
                             named["conv0.self_weight"], named["conv0.self_bias"])
         mix = Tensor(np.random.default_rng(11).normal(size=out.shape))
@@ -218,7 +218,7 @@ def test_batch_groups_dst_only_for_a_backward(monkeypatch):
     monkeypatch.setattr(ad, "_runs", lambda ids: grouped.append(ids) or runs(ids))
 
     def dst_groupings():
-        return sum(ids is batch.edge_runs.dst for ids in grouped)
+        return sum(ids is batch.edges.dst for ids in grouped)
 
     untaped = encode(params, batch, CFG)
     assert dst_groupings() == 0
@@ -258,14 +258,15 @@ def conv_case(seed, drop_anchor=False, shuffle=False, blocks=False):
     batch = build_batch(views)
     n, h, k = len(batch.node_z), 4, GCHECK.n_centers
     feats = gen.normal(size=(n, h)) * batch.node_keep[:, None]
-    edges = np.arange(len(batch.src))
+    src, dst = batch.edges.src, batch.edges.dst
+    edges = np.arange(len(src))
     if drop_anchor:
-        edges = edges[batch.src != batch.src[len(edges) // 2]]
+        edges = edges[src != src[len(edges) // 2]]
     if shuffle:
         edges = gen.permutation(edges)
     weights = [gen.uniform(-0.5, 0.5, size=shape)
                for shape in [(2 * h + k, h), (1, h)] * 2]
-    return feats, batch.edge_features[edges], batch.src[edges], batch.dst[edges], weights
+    return feats, batch.edge_features[edges], src[edges], dst[edges], weights
 
 
 @pytest.mark.parametrize("drop_anchor,shuffle,blocks", [
@@ -281,7 +282,8 @@ def test_gated_conv_matches_scalar_oracle(drop_anchor, shuffle, blocks):
     assert lonely.any() == drop_anchor
     # several edge blocks, the last one partial
     assert (len(src) > 2.5 * ad._EDGE_BLOCK) == blocks and len(src) % ad._EDGE_BLOCK
-    out = ad.gated_conv(Tensor(feats), Tensor(edge_feats), src, dst, *map(Tensor, weights))
+    out = ad.gated_conv(Tensor(feats), Tensor(edge_feats), ad.EdgeRuns(src, dst),
+                        *map(Tensor, weights))
     expected = np.array(gated_conv_loop(feats.tolist(), edge_feats.tolist(), src, dst,
                                         *[w.tolist() for w in weights]))
     assert np.abs(out.values - expected).max() <= 1e-10 * np.abs(expected).max()
@@ -289,7 +291,7 @@ def test_gated_conv_matches_scalar_oracle(drop_anchor, shuffle, blocks):
     # the op keeps more for a tape to differentiate, and computes the same
     inputs = [Tensor(x, requires_grad=True) for x in (feats, edge_feats, *weights)]
     with ad.Tape() as tape:
-        taped = ad.gated_conv(inputs[0], inputs[1], src, dst, *inputs[2:])
+        taped = ad.gated_conv(inputs[0], inputs[1], ad.EdgeRuns(src, dst), *inputs[2:])
     assert len(tape.records) == 1
     assert np.array_equal(taped.values, out.values)
 
@@ -302,7 +304,8 @@ def test_gated_conv_gradient_check_every_input():
         mix = Tensor(np.random.default_rng(23).normal(size=feats.shape))
 
         def f(p):
-            return ad.sum_(ad.mul(ad.gated_conv(p[0], p[1], src, dst, *p[2:]), mix))
+            return ad.sum_(ad.mul(ad.gated_conv(p[0], p[1], ad.EdgeRuns(src, dst), *p[2:]),
+                                  mix))
 
         assert grad_check(f, inputs, h=1e-5, seed=3) < 1e-6, f"blocks={blocks}"
 
@@ -332,7 +335,7 @@ def test_gated_conv_ignores_subnormal_edge_features():
     def run(e):
         inputs = [Tensor(x, requires_grad=True) for x in (feats, e, *weights)]
         with ad.Tape() as tape:
-            out = ad.gated_conv(inputs[0], inputs[1], src, dst, *inputs[2:])
+            out = ad.gated_conv(inputs[0], inputs[1], ad.EdgeRuns(src, dst), *inputs[2:])
             grads = ad.backward(tape, ad.sum_(ad.mul(out, mix)))
         return [out.values] + [grads[t] for t in inputs]
 
@@ -353,7 +356,8 @@ def test_gated_conv_backward_allocates_no_edge_sized_array():
                for shape in [(2 * h + k, h), (1, h)] * 2]
     mix = Tensor(gen.normal(size=(n, h)))
     with ad.Tape() as tape:
-        out = ad.gated_conv(v, Tensor(gen.uniform(size=(m, k))), src, dst, *weights)
+        out = ad.gated_conv(v, Tensor(gen.uniform(size=(m, k))), ad.EdgeRuns(src, dst),
+                            *weights)
         loss = ad.sum_(ad.mul(out, mix))
     tracemalloc.start()
     try:
@@ -373,7 +377,7 @@ def test_gated_conv_rejects_endpoint_out_of_range(end, bad):
     ends[end] = ends[end].copy()
     ends[end][len(src) // 2] = bad
     with pytest.raises(IndexError):
-        ad.gated_conv(Tensor(feats), Tensor(edge_feats), ends["src"], ends["dst"],
+        ad.gated_conv(Tensor(feats), Tensor(edge_feats), ad.EdgeRuns(ends["src"], ends["dst"]),
                       *map(Tensor, weights))
 
 

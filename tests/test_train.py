@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from dataclasses import fields, replace
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -253,6 +254,11 @@ VIEW_AUGMENTS = {
     "default": AugmentConfig(),
     "off": AugmentConfig(atom_mask_fraction=0.0, edge_mask_fraction=0.0, gndn_delta=0.0),
     "mask-all": AugmentConfig(atom_mask_fraction=1.0, edge_mask_fraction=1.0, gndn_delta=0.3),
+    # one child off at a time
+    "atom-mask-off": AugmentConfig(atom_mask_fraction=0.0, edge_mask_fraction=0.3,
+                                   gndn_delta=0.3),
+    "edge-mask-off": AugmentConfig(atom_mask_fraction=0.3, edge_mask_fraction=0.0,
+                                   gndn_delta=0.0),
 }
 
 
@@ -264,14 +270,13 @@ def one_edge_graph(graph_cfg=SMALL_GRAPH) -> CrystalGraph:
 
 
 def assert_batches_identical(got: GraphBatch, expected: GraphBatch):
-    for field in fields(GraphBatch):
-        if field.name == "edge_runs":
-            continue
-        a, b = getattr(got, field.name), getattr(expected, field.name)
+    names = [f.name for f in fields(GraphBatch) if f.name != "edges"]
+    for name in names + ["edges.src", "edges.dst"]:
+        a, b = attrgetter(name)(got), attrgetter(name)(expected)
         if isinstance(b, np.ndarray):
-            assert a.dtype == b.dtype and np.array_equal(a, b), field.name
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
         else:
-            assert a == b, field.name
+            assert a == b, name
 
 
 @pytest.mark.parametrize("augment", sorted(VIEW_AUGMENTS))
