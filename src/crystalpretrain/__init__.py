@@ -4,7 +4,7 @@ gated graph-convolution encoder on a small autodiff core, four pretraining
 objectives, and full training loops."""
 
 from .augment import AugmentConfig, make_views
-from .autodiff import Tape, Tensor, backward, grad_check
+from .autodiff import Tape, Tensor, backward
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .datasets import (DatasetManifest, ManifestRecord, SyntheticConfig,
                        element_frequencies, generate_synthetic_dataset,

@@ -662,44 +662,3 @@ def batch_standardize(a) -> Tensor:
         return (np.where(live[None, :], dx, 0.0),)
 
     return _make("batch_standardize", out, (a,), backward_fn)
-
-
-# ---------------------------------------------------------------------------
-# gradient checking
-# ---------------------------------------------------------------------------
-
-def grad_check(f, params, h: float = 1e-5, max_coords: int = 64,
-               seed: int = 0) -> float:
-    """Max relative error between tape gradients and central differences.
-
-    f maps the given parameter tensors to a scalar Tensor and must be
-    deterministic. Tensors larger than max_coords are probed at a seeded
-    random subset of coordinates.
-    """
-    params = list(params)
-    with Tape() as tape:
-        loss = f(params)
-        grads = backward(tape, loss)
-    analytic = [grads.get(p, np.zeros_like(p.values)) for p in params]
-
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for p, g in zip(params, analytic):
-        flat = p.values.reshape(-1)
-        gflat = g.reshape(-1)
-        if p.size <= max_coords:
-            coords = np.arange(p.size)
-        else:
-            coords = rng.choice(p.size, size=max_coords, replace=False)
-        for c in coords:
-            orig = flat[c]
-            flat[c] = orig + h
-            up = f(params).item()
-            flat[c] = orig - h
-            down = f(params).item()
-            flat[c] = orig
-            numeric = (up - down) / (2.0 * h)
-            a = gflat[c]
-            rel = abs(a - numeric) / max(1e-8, abs(a) + abs(numeric))
-            worst = max(worst, rel)
-    return worst

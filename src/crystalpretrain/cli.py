@@ -390,7 +390,3 @@ def main(argv=None) -> int:
             PlacementFailure, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
-
-
-if __name__ == "__main__":
-    sys.exit(main())

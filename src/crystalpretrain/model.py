@@ -5,17 +5,10 @@ Each convolution is the CGCNN gate (Xie & Grossman, PRL 2018): for every edge
 i -> j, z = [v_i, v_j, e_ij] passes through a sigmoid gate and a softplus
 filter, and the gated messages are summed onto the anchor i and added to v_i
 (residual update). The layer runs as one autodiff op, autodiff.gated_conv,
-which applies the weights to the node rows before gathering them onto the
-edges, and runs the edge-sized work in blocks of edge rows that fit in L2,
-shared between two threads where the process may use two CPUs, with the
-same bits as on one. A training step keeps the gate, the message and the
-filter's sigmoid per edge, not the pre-activation, and the backward writes
-its gradient over the last two. A batch holds its edges in one
-autodiff.EdgeRuns, which every layer takes: it groups the edge rows by
-anchor once, and by neighbour the first time a backward needs them, and
-forward-only inference never groups by neighbour. The parameters keep
-their per-gate names and shapes. Mean pooling over each crystal's nodes
-yields the crystal vector.
+which says how it blocks, threads and saves its edge-sized work. A batch
+holds its edges in one autodiff.EdgeRuns, which every layer takes. The
+parameters keep their per-gate names and shapes. Mean pooling over each
+crystal's nodes yields the crystal vector.
 """
 
 from __future__ import annotations

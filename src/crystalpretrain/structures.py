@@ -4,8 +4,9 @@ Only P1 (symmetry-expanded) CIFs are accepted: cell parameters, plus an
 atom-site loop with fractional coordinates. Anything fancier (symmetry
 operations beyond identity, occupancies, disorder) is out of scope.
 
-The site loop is read by column: one regex match and one numpy conversion
-for all coordinates. A loop with a bad row is read again row by row, so the
+The text is scanned in one pass over its lines, each tokenized once. The
+site loop is read by column: one regex match and one numpy conversion for
+all coordinates. A loop with a bad row is read again row by row, so the
 error, and its text, is the first bad row's.
 """
 
@@ -200,47 +201,31 @@ class _Loop:
 
 
 def _scan(text: str) -> tuple[dict[str, tuple[int, str]], list[_Loop]]:
+    """Scalars (tag -> (line number, value)) and loops of a CIF, read in one
+    pass over its lines, each tokenized once."""
     scalars: dict[str, tuple[int, str]] = {}
     loops: list[_Loop] = []
-    lines = text.splitlines()
-    i = 0
-    while i < len(lines):
-        tokens = _tokenize(lines[i])
+    loop, tagging = None, False
+    for number, line in enumerate(text.splitlines(), start=1):
+        tokens = _tokenize(line)
+        if tagging and len(tokens) == 1 and tokens[0].startswith("_"):
+            loop.tags.append(tokens[0].lower())
+            continue
+        tagging = False
         if not tokens:
-            i += 1
             continue
         head = tokens[0]
         low = head.lower()
-        if low.startswith("data_") or low == ";":
-            i += 1
-            continue
         if low == "loop_":
-            loop = _Loop()
-            i += 1
-            while i < len(lines):
-                tokens = _tokenize(lines[i])
-                if tokens and tokens[0].startswith("_") and len(tokens) == 1:
-                    loop.tags.append(tokens[0].lower())
-                    i += 1
-                else:
-                    break
-            while i < len(lines):
-                tokens = _tokenize(lines[i])
-                if not tokens:
-                    i += 1
-                    continue
-                low = tokens[0].lower()
-                if tokens[0].startswith("_") or low == "loop_" or low.startswith("data_"):
-                    break
-                loop.rows.append((i + 1, tokens))
-                i += 1
+            loop, tagging = _Loop(), True
             loops.append(loop)
-            continue
-        if head.startswith("_"):
-            scalars[low] = (i + 1, tokens[1] if len(tokens) > 1 else "")
-            i += 1
-            continue
-        i += 1
+        elif head.startswith("_"):
+            loop = None
+            scalars[low] = (number, tokens[1] if len(tokens) > 1 else "")
+        elif low.startswith("data_"):
+            loop = None
+        elif loop is not None:
+            loop.rows.append((number, tokens))
     return scalars, loops
 
 

@@ -14,7 +14,7 @@ import pytest
 from crystalpretrain import autodiff as ad
 from crystalpretrain import reference as ref
 from crystalpretrain.augment import AugmentConfig, make_views
-from crystalpretrain.autodiff import Tensor, grad_check
+from crystalpretrain.autodiff import Tensor
 from crystalpretrain.checkpoint import load_checkpoint, save_checkpoint
 from crystalpretrain.cli import main as cli_main
 from crystalpretrain.datasets import (SyntheticConfig, generate_synthetic_dataset,
@@ -29,7 +29,7 @@ from crystalpretrain.structures import CrystalStructure
 from crystalpretrain.train import (GraphDataset, TrainConfig, finetune,
                                    load_graph_dataset, pretrain, split_dataset)
 from conftest import random_structure
-from oracles import brute_force_neighbors, count_elements
+from oracles import brute_force_neighbors, count_elements, grad_check
 
 
 def report(num: int, ok: bool, detail: str):

@@ -8,14 +8,14 @@ import pytest
 
 from crystalpretrain import autodiff as ad
 from crystalpretrain.augment import AugmentConfig, make_views
-from crystalpretrain.autodiff import EmptySegment, Tensor, grad_check
+from crystalpretrain.autodiff import EmptySegment, Tensor
 from crystalpretrain.graphs import GraphConfig, IsolatedAtom, build_graph
 from crystalpretrain.losses import LossConfig, compute_loss
 from crystalpretrain.model import (ModelConfig, build_batch, encode, head_forward,
                                    init_params, param_spec, project)
 from crystalpretrain.rng import RngStream
 from conftest import random_structure
-from oracles import gated_conv_loop, pooled_means
+from oracles import gated_conv_loop, grad_check, pooled_means
 
 CFG = ModelConfig(hidden_dim=8, n_conv=2, embed_dim=6, head_hidden=5)
 GCFG = GraphConfig(radius=5.0, max_neighbors=12)

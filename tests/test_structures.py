@@ -152,6 +152,70 @@ def test_malformed_number_line_characterization(old, new, line, token):
     assert (err.value.line_number, err.value.token) == (line, token)
 
 
+EIGHT_LINES = "loop_\n_a\n_b\n1 2\n_c 3\nloop_\n_d\n4"
+
+# text -> (scalars, [(tags, rows)]), as the index-driven reader gave them
+SCAN_CASES = {
+    "empty-line-in-tags": ("loop_\n_a\n\n_b\n1 2\n",
+        {"_b": (4, "")},
+        [(["_a"], [])]),
+    "comment-in-tags": ("loop_\n_a\n# note\n_b\n1 2\n",
+        {"_b": (4, "")},
+        [(["_a"], [])]),
+    "semicolon-in-loop": ("loop_\n_a\n1\n;\ntext\n;\n",
+        {},
+        [(["_a"], [(3, ["1"]), (4, [";"]), (5, ["text"]), (6, [";"])])]),
+    "semicolon-top-level": (";\n_x 1\n;\nloose words\n",
+        {"_x": (2, "1")},
+        []),
+    "capitals": ("DATA_x\nLOOP_\n_A\n1\nDATA_y\n2\n",
+        {},
+        [(["_a"], [(4, ["1"])])]),
+    "loop-then-scalar": ("loop_\n_a 1\n2\n",
+        {"_a": (2, "1")},
+        [([], [])]),
+    "loop-after-loop": ("loop_\nloop_\n_b\n3\n",
+        {},
+        [([], []), (["_b"], [(4, ["3"])])]),
+    "quoted-head": ("'_q' 2\nloop_\n_t\nx\n'_q' 5\ny\n",
+        {"_q": (5, "5")},
+        [(["_t"], [(4, ["x"])])]),
+    "tags-no-rows-at-end": ("_x 1\nloop_\n_a\n_b",
+        {"_x": (1, "1")},
+        [(["_a", "_b"], [])]),
+    "scalar-no-value": ("_empty\n_full 'a b'\n",
+        {"_empty": (1, ""), "_full": (2, "a b")},
+        []),
+    "eight-lines": (EIGHT_LINES,
+        {"_c": (5, "3")},
+        [(["_a", "_b"], [(4, ["1", "2"])]), (["_d"], [(8, ["4"])])]),
+}
+
+
+@pytest.mark.parametrize("case", list(SCAN_CASES))
+def test_scan_characterization(case):
+    text, scalars, loops = SCAN_CASES[case]
+    got_scalars, got_loops = _scan(text)
+    assert got_scalars == scalars
+    assert [(loop.tags, loop.rows) for loop in got_loops] == loops
+
+
+def test_scan_tokenizes_each_line_once(monkeypatch):
+    calls = []
+
+    def counting(line):
+        calls.append(line)
+        return _tokenize(line)
+
+    monkeypatch.setattr(structures, "_tokenize", counting)
+    five_sites = CrystalStructure(np.diag([3.0, 4.0, 5.0]),
+                                  np.linspace(0.1, 0.9, 15).reshape(5, 3), [26, 8, 8, 1, 6])
+    for text in (write_cif(five_sites), EIGHT_LINES):
+        calls.clear()
+        _scan(text)
+        assert calls == text.splitlines()
+
+
 def test_wrap_frac_floor_modulo():
     wrapped = wrap_frac(np.array([[1.25, -0.25, 0.5]]))
     assert wrapped.tolist() == [[0.25, 0.75, 0.5]]
