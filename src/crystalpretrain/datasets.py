@@ -136,7 +136,14 @@ def load_structures(manifest: DatasetManifest) -> dict[str, CrystalStructure]:
     out = {}
     for rec in manifest.records:
         path = Path(rec.cif_path)
-        structure = parse_cif(decode_utf8(path.read_bytes(), path, StructureError))
+        text = decode_utf8(path.read_bytes(), path, StructureError)
+        try:
+            structure = parse_cif(text)
+        except StructureError as exc:
+            # name the file, and the line where the error has one
+            line = getattr(exc, "line_number", None)
+            exc.args = (f"{path}:{line}: {exc}" if line else f"{path}: {exc}",)
+            raise
         structure.id = rec.id
         out[rec.id] = structure
     return out

@@ -4,6 +4,16 @@ Each atom is connected to its nearest periodic images within a cutoff radius,
 capped at a maximum neighbor count; edge distances are expanded over a grid
 of Gaussian basis functions.
 
+The images searched are those of the lattice translations n with
+|n_k| <= floor(radius / h_k + spread_k + 1e-9) on each axis k, where h_k is
+the spacing of the lattice planes across the axis and spread_k the range of
+the sites' fractional coordinate k: a farther image is more than the radius
+from every site across those planes. The spacings come in closed form from
+the cell's face normals and volume, and the block of each size is built once
+and cached. Any block that holds this one gives the same graph, so the
+bound changes speed only: a 4 x 4 x 4 supercell of a small cell at the
+default 8 A cutoff searches the 27 translations of -1..1.
+
 The neighbor search is a linked-cell search. The periodic images of every
 site are binned into cubes whose edge is the search radius, and each atom is
 tested only against the points in the 27 bins around its own. At a fixed
@@ -24,6 +34,7 @@ among them.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import io
 import math
@@ -124,11 +135,20 @@ def frac_to_cart(structure: CrystalStructure) -> np.ndarray:
     return structure.frac_coords @ structure.lattice
 
 
-def _image_ranges(lattice: np.ndarray, radius: float) -> tuple[int, int, int]:
-    # plane spacing along each axis bounds how far images can reach
-    inv = np.linalg.inv(lattice)
-    heights = 1.0 / np.linalg.norm(inv, axis=0)
-    return tuple(int(math.ceil(radius / h)) + 1 for h in heights)
+def _cross(u: list[float], v: list[float]) -> list[float]:
+    return [u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+            u[0] * v[1] - u[1] * v[0]]
+
+
+@functools.lru_cache(maxsize=64)
+def _offsets(span: tuple[int, int, int]) -> np.ndarray:
+    """Image vectors n with |n_k| <= span[k], in lexicographic order, as one
+    read-only C-contiguous int64 array per span, shared by every caller: the
+    matmul with the lattice may round differently on another layout."""
+    half = np.array(span, dtype=np.int64)
+    offsets = np.indices(2 * half + 1, dtype=np.int64).reshape(3, -1).T.copy() - half
+    offsets.flags.writeable = False
+    return offsets
 
 
 # the 27 bins around and including a bin, as (dx, dy, dz) in -1..1
@@ -193,41 +213,58 @@ def neighbor_list(structure: CrystalStructure, cfg: GraphConfig
     are sorted by distance with ties broken by (neighbor index, image vector)
     lexicographically, then truncated to max_neighbors per anchor.
 
-    The candidates are the image points r_j + shift_o of a block of lattice
-    translations large enough to reach the cutoff, found in two passes of a
-    linked-cell search (_candidates). The first pass searches every anchor
-    at r1 = min(radius, 1.2 r_k), where r_k = (3 k V / (4 pi N))^(1/3) is
-    the radius that holds k = max_neighbors atoms at the cell's mean
-    density. An anchor with at least k candidates within r1 keeps them: its
-    k nearest, and every tie at the k-th distance, lie within r1, and they
+    The candidates are the image points r_j + shift_o of the block of
+    lattice translations n with |n_k| <= floor(radius / h_k + spread_k +
+    1e-9), where h_k is the spacing of the lattice planes across axis k and
+    spread_k the range (max - min) of fractional coordinate k over the
+    sites. Image n of site j lies within the radius of anchor i only if its
+    distance across those planes, |f_jk - f_ik + n_k| h_k, is at most the
+    radius, so |n_k| <= radius / h_k + spread_k; the bound holds for
+    coordinates outside [0, 1) too, and the 1e-9 absorbs the rounding of
+    h_k. The face normals b x c, c x a and a x b, the volume
+    V = a . (b x c) and radius / h_k = radius |normal_k| / V are a few
+    Python float products; they set only the block's size and the first
+    radius below, so their rounding cannot change the output. The offset
+    block of each size is made once and cached (_offsets).
+
+    The points are found in two passes of a linked-cell search
+    (_candidates). The first pass searches every anchor at
+    r1 = min(radius, 1.2 r_k), where r_k = (3 k V / (4 pi N))^(1/3) is the
+    radius that holds k = max_neighbors atoms at the cell's mean density.
+    An anchor with at least k candidates within r1 keeps them: its k
+    nearest, and every tie at the k-th distance, lie within r1, and they
     sort first among its candidates within the cutoff. The second pass
     searches only the anchors left short, at the cutoff, in place of their
     first-pass candidates.
 
     The result is bit-identical to testing every (anchor, site, image)
-    triple of the block: both passes read the same image points, pruning
-    drops only pairs that the cap or the cutoff would drop, and each
-    distance is the square root of dx^2 + dy^2 + dz^2 added left to right.
-    Points are numbered in (neighbor index, image vector) order, so the
-    sort keys (anchor, distance, point) are unique per edge: the order in
-    which candidates are found does not matter, and argsorts of the distances
-    and of two int64 keys built from them give lexsort's order, faster.
+    triple of any block that holds this one: both passes read the same image
+    points, pruning drops only pairs that the cap or the cutoff would drop,
+    and each distance is the square root of dx^2 + dy^2 + dz^2 added left
+    to right. Points are numbered in (neighbor index, image vector) order,
+    so the sort keys (anchor, distance, point) are unique per edge: the
+    order in which candidates are found does not matter, and argsorts of
+    the distances and of two int64 keys built from them give lexsort's
+    order, faster.
     """
     # contiguous rows of x, y and z: a transposed view would make the
     # gathers and the arithmetic on them strided, and slower
     xyz = frac_to_cart(structure).T.copy()
     n = structure.n_sites
-    span = np.array(_image_ranges(structure.lattice, cfg.radius))
-    # image vectors in lexicographic order, in a C-contiguous copy: the
-    # matmul below may round differently on another layout
-    offsets = np.indices(2 * span + 1).reshape(3, -1).T.copy() - span
+    a, b, c = structure.lattice.tolist()
+    normals = (_cross(b, c), _cross(c, a), _cross(a, b))
+    volume = a[0] * normals[0][0] + a[1] * normals[0][1] + a[2] * normals[0][2]
+    spread = np.ptp(structure.frac_coords, axis=0).tolist()
+    offsets = _offsets(tuple(
+        math.floor(cfg.radius * math.hypot(*normal) / volume + s + 1e-9)
+        for normal, s in zip(normals, spread)))
     shifts = offsets @ structure.lattice
     # r_j + shift_o as rows of x, y and z: point p is site p // len(offsets),
     # image p % len(offsets), so points ascend by (site, image vector)
     image_pos = (xyz[:, :, None] + shifts.T[:, None, :]).reshape(3, -1)
 
     k = cfg.max_neighbors
-    r_k = (3.0 * k * structure.volume / (4.0 * math.pi * n)) ** (1.0 / 3.0)
+    r_k = (3.0 * k * volume / (4.0 * math.pi * n)) ** (1.0 / 3.0)
     r1 = min(cfg.radius, _FIRST_PASS_SCALE * r_k)
     anchor_idx, point, d = _candidates(xyz, image_pos, r1, np.arange(n))
     if r1 < cfg.radius:

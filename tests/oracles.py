@@ -1,8 +1,8 @@
 """Independent brute-force oracles used only by tests.
 
-Kept deliberately naive: explicit loops over a 5x5x5 image block for the
-neighbor search and scalar loops elsewhere, sharing no code with the
-implementations they check. grad_check compares the tape's gradients with
+Kept deliberately naive: explicit loops over an image block (5x5x5 by
+default) for the neighbor search and scalar loops elsewhere, sharing no code
+with the implementations they check. grad_check compares the tape's gradients with
 central differences of the same function.
 """
 
@@ -13,8 +13,9 @@ import numpy as np
 from crystalpretrain.autodiff import Tape, backward
 
 
-def brute_force_neighbors(structure, radius, max_neighbors):
-    """Enumerate every pair across image offsets -2..2, then sort and cut.
+def brute_force_neighbors(structure, radius, max_neighbors, reach=2):
+    """Enumerate every pair across image offsets -reach..reach, then sort and
+    cut.
 
     Returns (src, dst, image, distance) tuples in anchor-major order with the
     documented tie-break: ascending distance, then neighbor index, then image
@@ -23,12 +24,13 @@ def brute_force_neighbors(structure, radius, max_neighbors):
     lattice = structure.lattice
     cart = structure.frac_coords @ lattice
     n = len(cart)
+    steps = range(-reach, reach + 1)
     per_anchor = [[] for _ in range(n)]
     for i in range(n):
         for j in range(n):
-            for n0 in (-2, -1, 0, 1, 2):
-                for n1 in (-2, -1, 0, 1, 2):
-                    for n2 in (-2, -1, 0, 1, 2):
+            for n0 in steps:
+                for n1 in steps:
+                    for n2 in steps:
                         shift = np.array([n0, n1, n2]) @ lattice
                         disp = cart[j] + shift - cart[i]
                         d = np.sqrt((disp * disp).sum())

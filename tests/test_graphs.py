@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 
@@ -203,6 +204,86 @@ def test_skewed_unwrapped_cells_match_oracle():
         cfg = GraphConfig(radius=radius, max_neighbors=int(gen.choice([3, 12, 40])))
         expected = brute_force_neighbors(s, cfg.radius, cfg.max_neighbors)
         assert graph_edges(s, cfg) == [tuple(e) for e in expected]
+
+
+def bound_cells():
+    """(radius, lattice, fractional coordinates, whether sites 0 and 1 are
+    exactly the radius apart) of cells in which radius / h_0 + spread_0 is
+    an integer; the coordinates may lie outside [0, 1)."""
+    ortho = np.diag([4.0, 5.0, 6.0])
+    # 3 / 4 + 0.25 = 1: site 1's image n_0 = -1 is 3.0 from site 0
+    yield 3.0, ortho, [[0.0, 0.0, 0.0], [0.25, 0.0, 0.0], [0.1, 0.3, 0.2]], True
+    # unwrapped: 0.75 + 2.25 = 3, and the pair at 3.0 needs n_0 = -3
+    yield 3.0, ortho, [[-1.0, 0.0, 0.0], [1.25, 0.0, 0.0], [0.1, 0.3, 0.2]], True
+    # the bound's float sum is 0.9999999999999999, and the pair at exactly the
+    # radius (3.5999999999999996) needs n_0 = -1
+    yield ((1.0 - 0.28) * 5.0, np.diag([5.0, 4.0, 4.1]),
+           [[0.0, 0.0, 0.0], [0.28, 0.0, 0.0]], True)
+    gen = np.random.default_rng(7)
+    for low, high in ((0.0, 1.0), (-0.3, 1.3)):
+        for _ in range(3):
+            angles = 90.0 + gen.choice([-1.0, 1.0], 3) * gen.uniform(8.0, 20.0, 3)
+            lattice = lattice_from_parameters(*gen.uniform(3.5, 5.0, 3), *angles)
+            frac = gen.uniform(low, high, size=(int(gen.integers(2, 4)), 3))
+            spread = frac.max(axis=0) - frac.min(axis=0)
+            radius = (math.ceil(spread[0]) + 1 - spread[0]) * plane_spacings(lattice)[0]
+            yield radius, lattice, frac, False
+
+
+@pytest.mark.parametrize("eps", [-1e-12, 0.0, 1e-12])
+def test_block_bound_on_an_integer_matches_oracle(eps):
+    # radius / h_0 + spread_0 on an integer and 1e-12 to either side of it;
+    # the oracle's -4..4 block holds more than the search's bound
+    for radius, lattice, frac, pair_at_radius in bound_cells():
+        frac = np.array(frac)
+        spread = frac.max(axis=0) - frac.min(axis=0)
+        bound = radius / plane_spacings(lattice) + spread
+        assert bound[0] == pytest.approx(round(bound[0]), abs=1e-12)
+        cfg = GraphConfig(radius=radius * (1.0 + eps / bound[0]), max_neighbors=1000)
+        assert (cfg.radius / plane_spacings(lattice) + spread < 5.0).all()
+        s = CrystalStructure(lattice, frac, [8] * len(frac))
+        s.frac_coords = frac  # construction wraps; keep them outside [0, 1)
+        expected = brute_force_neighbors(s, cfg.radius, cfg.max_neighbors, reach=4)
+        got = graph_edges(s, cfg)
+        assert got == [tuple(e) for e in expected]
+        if pair_at_radius and eps >= 0.0:
+            assert any(e[:2] == (0, 1) and e[3] == radius for e in got)
+
+
+def test_large_supercell_searches_27_offsets(monkeypatch):
+    # 4 x 4 x 4 supercells of 2- to 5-atom synthetic cells, the large-cells
+    # benchmark's sizes: radius / h_k + spread_k < 2 on every axis, so the
+    # search reads the 27 images of -1..1, where ceil(radius / h_k) + 1 read 125
+    points = []
+    search = graphs._candidates
+
+    def recording(xyz, image_pos, radius, anchors):
+        points.append(image_pos.shape[1])
+        return search(xyz, image_pos, radius, anchors)
+
+    monkeypatch.setattr(graphs, "_candidates", recording)
+    cells, _ = generate_synthetic_dataset(SyntheticConfig(n_crystals=32, max_atoms=5, seed=1))
+    for size in range(2, 6):
+        sup = tiled(next(c for c in cells if c.n_sites == size), 4)
+        points.clear()
+        neighbor_list(sup, GraphConfig())
+        assert points and set(points) == {27 * sup.n_sites}
+
+
+def test_offset_block_is_cached_and_read_only(cubic_fe):
+    first = graphs._offsets((1, 2, 0))
+    assert graphs._offsets((1, 2, 0)) is first
+    assert first.dtype == np.int64 and first.flags.c_contiguous
+    assert first.tolist() == [list(v) for v in itertools.product(
+        range(-1, 2), range(-2, 3), range(1))]
+    with pytest.raises(ValueError):
+        first[0, 0] = 7
+    # the images neighbor_list returns are the caller's own, not the cache's
+    _, _, images, _ = neighbor_list(cubic_fe, GraphConfig(radius=3.0))
+    span = (1, 1, 1)
+    assert not np.shares_memory(images, graphs._offsets(span))
+    images[:] = 9
+    assert graphs._offsets(span).min() == -1
 
 
 def test_neighbors_exactly_at_cutoff_kept():

@@ -7,7 +7,8 @@ import pytest
 
 from crystalpretrain.structures import (CrystalStructure, MalformedNumber,
                                         MissingTag, NonP1Symmetry, StructureError,
-                                        UnknownElement, lattice_from_parameters,
+                                        UnknownElement, UnterminatedTextField,
+                                        lattice_from_parameters,
                                         parse_cif, wrap_frac, write_cif)
 from crystalpretrain import structures
 from crystalpretrain.structures import _TOKEN_RE, _parse_number, _read_sites, _scan, _tokenize
@@ -154,7 +155,8 @@ def test_malformed_number_line_characterization(old, new, line, token):
 
 EIGHT_LINES = "loop_\n_a\n_b\n1 2\n_c 3\nloop_\n_d\n4"
 
-# text -> (scalars, [(tags, rows)]), as the index-driven reader gave them
+# text -> (scalars, [(tags, rows)]), as the index-driven reader gave them,
+# save the semicolon and text-field cases: it read a text field's lines as CIF
 SCAN_CASES = {
     "empty-line-in-tags": ("loop_\n_a\n\n_b\n1 2\n",
         {"_b": (4, "")},
@@ -162,11 +164,13 @@ SCAN_CASES = {
     "comment-in-tags": ("loop_\n_a\n# note\n_b\n1 2\n",
         {"_b": (4, "")},
         [(["_a"], [])]),
+    # a text field is one cell of the loop, a row at its opening line
     "semicolon-in-loop": ("loop_\n_a\n1\n;\ntext\n;\n",
         {},
-        [(["_a"], [(3, ["1"]), (4, [";"]), (5, ["text"]), (6, [";"])])]),
+        [(["_a"], [(3, ["1"]), (4, ["\ntext"])])]),
+    # a text field with no tag before it is skipped, its lines unread
     "semicolon-top-level": (";\n_x 1\n;\nloose words\n",
-        {"_x": (2, "1")},
+        {},
         []),
     "capitals": ("DATA_x\nLOOP_\n_A\n1\nDATA_y\n2\n",
         {},
@@ -185,6 +189,15 @@ SCAN_CASES = {
         [(["_a", "_b"], [])]),
     "scalar-no-value": ("_empty\n_full 'a b'\n",
         {"_empty": (1, ""), "_full": (2, "a b")},
+        []),
+    # a field is the value of the tag before it, blank lines between them
+    # aside; its lines are not tokenized, and the closing line's rest is read
+    "text-field-values": ("_title\n\n;first\n_cell_length_a 9.0\nloop_\n; _x 2\n"
+                          "loop_\n_a\n;\n'q\n;\n",
+        {"_title": (1, "first\n_cell_length_a 9.0\nloop_"), "_x": (6, "2")},
+        [(["_a"], [(9, ["\n'q"])])]),
+    "text-field-after-value": ("_x 1\n;\nt\n;\n",
+        {"_x": (1, "1")},
         []),
     "eight-lines": (EIGHT_LINES,
         {"_c": (5, "3")},
@@ -214,6 +227,21 @@ def test_scan_tokenizes_each_line_once(monkeypatch):
         calls.clear()
         _scan(text)
         assert calls == text.splitlines()
+
+
+def test_text_field_lines_are_not_read_as_cif():
+    cif = CUBIC_FE_CIF.replace("loop_", "_publ_section_title\n;\n_cell_length_a 9.0\n;\nloop_")
+    s = parse_cif(cif)
+    assert np.array_equal(s.lattice, np.diag([3.0, 3.0, 3.0]))
+    assert s.atomic_numbers.tolist() == [26]
+
+
+@pytest.mark.parametrize("text", ["data_x\n;\n_cell_length_a 4.0\n", "data_x\n;"])
+def test_unterminated_text_field_names_its_line(text):
+    with pytest.raises(UnterminatedTextField, match="opened on line 2") as err:
+        _scan(text)
+    assert err.value.line_number == 2
+    assert isinstance(err.value, StructureError)
 
 
 def test_wrap_frac_floor_modulo():
