@@ -5,15 +5,14 @@ A view draws its node mask, its edge mask and its distance noise from the
 or gndn_delta turns one off. Masking zeroes feature contributions without
 touching topology; distance noising perturbs edge lengths only, never the
 underlying coordinates, and the Gaussian edge features are recomputed from
-the noised distances. A view owns its masks, distances and edge features
-and shares every other array with the graph it was made from, so nothing
-may write to a view's arrays.
+the noised distances.
 
-One function, _draw, says what a view draws, and both entry points call it:
-make_views draws the two views of one crystal, seeding each child stream
-on its own and expanding each view's distances; batch_views draws a whole
-batch's views with the same bits, its children seeded in one pass and its
-noised distances expanded at once.
+batch_views is the one path that draws views: it seeds every view's
+children through rng.generators, draws each view (_draw) and expands all
+the noised distances at once. make_views is its two-row case, the pair of
+one crystal; a view owns its masks, distances and edge features and shares
+every other array with the graph it was made from, so nothing may write to
+a view's arrays.
 """
 
 from __future__ import annotations
@@ -71,32 +70,11 @@ def _draw(graph: CrystalGraph, cfg: AugmentConfig, gens) -> tuple[np.ndarray, ..
                                            size=len(graph.distances)))
 
 
-def _edge_features(distances: np.ndarray, edge_masked: np.ndarray,
-                   graph_cfg: GraphConfig) -> np.ndarray:
-    edge_features = gaussian_expand(distances, graph_cfg)
-    edge_features[edge_masked] = 0.0
-    return edge_features
-
-
-def make_views(graph: CrystalGraph, cfg: AugmentConfig,
-               streams: tuple[RngStream, RngStream],
-               graph_cfg: GraphConfig) -> tuple[CrystalGraph, CrystalGraph]:
-    """Two independent augmented views of one graph, one per stream."""
-    views = []
-    for stream in streams:
-        node_masked, edge_masked, distances = _draw(
-            graph, cfg, [stream.child(name).generator() for name in _CHILDREN])
-        views.append(replace(graph, distances=distances,
-                             edge_features=_edge_features(distances, edge_masked, graph_cfg),
-                             node_masked=node_masked, edge_masked=edge_masked))
-    return views[0], views[1]
-
-
-def batch_views(graphs: list[CrystalGraph], cfg: AugmentConfig, keys: np.ndarray,
-                graph_cfg: GraphConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The node masks and edge features of many views, each concatenated in
-    row order: view r of graphs[r] is the one make_views draws from the
-    stream with key codes keys[r] (an (n, L) array), bit for bit. All the
+def batch_views(graphs: list[CrystalGraph], cfg: AugmentConfig, keys,
+                graph_cfg: GraphConfig) -> tuple[np.ndarray, ...]:
+    """The node masks, edge masks, noised distances and edge features of many
+    views, each concatenated in row order: view r is drawn from graphs[r]
+    and the stream with key codes keys[r] (an (n, L) array). All the
     streams' children are seeded together (rng.generators), and the noised
     distances go through one gaussian_expand."""
     keys, width = np.asarray(keys, dtype=np.uint32), len(_CHILDREN)
@@ -105,4 +83,20 @@ def batch_views(graphs: list[CrystalGraph], cfg: AugmentConfig, keys: np.ndarray
         np.tile([RngStream(name).key[0] for name in _CHILDREN], len(keys))]))
     draws = [_draw(g, cfg, gens[width * r:width * (r + 1)]) for r, g in enumerate(graphs)]
     node_masked, edge_masked, distances = (np.concatenate(a) for a in zip(*draws))
-    return node_masked, _edge_features(distances, edge_masked, graph_cfg)
+    edge_features = gaussian_expand(distances, graph_cfg)
+    edge_features[edge_masked] = 0.0
+    return node_masked, edge_masked, distances, edge_features
+
+
+def make_views(graph: CrystalGraph, cfg: AugmentConfig,
+               streams: tuple[RngStream, RngStream],
+               graph_cfg: GraphConfig) -> tuple[CrystalGraph, CrystalGraph]:
+    """Two independent augmented views of one graph, one per stream, whose
+    keys must be of one length: the two rows of batch_views([graph, graph])."""
+    if len(streams[0].key) != len(streams[1].key):
+        raise ValueError(f"the two view streams' keys differ in length: {streams}")
+    pairs = (a.reshape(2, -1, *a.shape[1:]) for a in batch_views(
+        [graph, graph], cfg, [stream.key for stream in streams], graph_cfg))
+    return tuple(replace(graph, node_masked=node_masked, edge_masked=edge_masked,
+                         distances=distances, edge_features=edge_features)
+                 for node_masked, edge_masked, distances, edge_features in zip(*pairs))

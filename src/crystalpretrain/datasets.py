@@ -21,6 +21,7 @@ import numpy as np
 
 from .checkpoint import write_csv
 from .elements import z_to_symbol
+from .graphs import _offsets
 from .rng import RngStream
 from .structures import (CrystalStructure, StructureError, decode_utf8, parse_cif,
                          write_cif)
@@ -189,9 +190,7 @@ def synthetic_target(mean_z: float, volume: float) -> float:
 
 
 def _min_image_distance(f1: np.ndarray, f2: np.ndarray, lattice: np.ndarray) -> float:
-    offsets = np.array([(i, j, k) for i in (-1, 0, 1) for j in (-1, 0, 1)
-                        for k in (-1, 0, 1)], dtype=np.float64)
-    disp = (f2 - f1 + offsets) @ lattice
+    disp = (f2 - f1 + _offsets((1, 1, 1))) @ lattice
     return float(np.sqrt((disp * disp).sum(axis=1)).min())
 
 

@@ -152,7 +152,7 @@ def _offsets(span: tuple[int, int, int]) -> np.ndarray:
 
 
 # the 27 bins around and including a bin, as (dx, dy, dz) in -1..1
-_STENCIL = np.indices((3, 3, 3)).reshape(3, -1).T - 1
+_STENCIL = _offsets((1, 1, 1))
 
 # the first pass searches this multiple of the radius that holds
 # max_neighbors atoms at the cell's mean density; it changes speed only

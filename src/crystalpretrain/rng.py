@@ -1,8 +1,8 @@
 """Deterministic random streams derived from hierarchical integer keys.
 
 A stream is a pure function of its key tuple, so any worker layout that
-derives the same keys sees the same draws. generators seeds many streams
-at once with the bits their RngStream.generator gives.
+derives the same keys sees the same draws. generators is the one entry that
+seeds streams; RngStream.generator is its one-row case.
 """
 
 from __future__ import annotations
@@ -29,14 +29,8 @@ class RngStream:
     def __init__(self, *key):
         self.key = tuple(_code(p) for p in key)
 
-    def child(self, *subkey) -> "RngStream":
-        return RngStream(*(self.key + tuple(_code(p) for p in subkey)))
-
     def generator(self) -> np.random.Generator:
-        # every part is below 2**32, so a uint32 array gives SeedSequence the
-        # entropy words the tuple would, without coercing each int in Python
-        seed = np.random.SeedSequence(np.array(self.key, dtype=np.uint32))
-        return np.random.Generator(np.random.PCG64(seed))
+        return generators([self.key])[0]
 
     def __repr__(self):
         return f"RngStream{self.key}"
@@ -105,8 +99,20 @@ class _State(ISeedSequence):
         return self.words
 
 
+# below this many rows SeedSequence's own C hashing, one key at a time, beats
+# the fixed cost of seed_states' two hundred or so whole-column operations
+_PER_KEY_MAX = 32
+
+
 def generators(keys) -> list[np.random.Generator]:
-    """RngStream(*key).generator() for each row of keys, (n, L) key codes,
-    seeded in one pass (seed_states); PCG64 still seeds itself from them."""
+    """A generator for each row of keys, (n, L) RngStream key codes, seeded
+    as np.random.SeedSequence(key) seeds it: one at a time below
+    _PER_KEY_MAX rows, else in one pass (seed_states), from which PCG64
+    still seeds itself. Every code is below 2**32, so a uint32 row gives
+    SeedSequence the entropy words the key's tuple would."""
+    keys = np.asarray(keys, dtype=np.uint32)
+    if len(keys) < _PER_KEY_MAX:
+        return [np.random.Generator(np.random.PCG64(np.random.SeedSequence(key)))
+                for key in keys]
     return [np.random.Generator(np.random.PCG64(_State(words)))
             for words in seed_states(keys)]

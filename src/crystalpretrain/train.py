@@ -384,19 +384,19 @@ def _view_keys(cfg: TrainConfig, epoch: int, indices, tag: str) -> np.ndarray:
 
 def view_pair(graph, cfg: TrainConfig, epoch: int, index: int, tag: str = "augment"):
     """The two augmented views of the crystal at dataset position index in
-    epoch, drawn from the streams (cfg.seed, tag, epoch, index, view)."""
+    epoch, drawn from the streams (cfg.seed, tag, epoch, index, view): the
+    pair view_batch draws for it in any batch."""
     streams = tuple(RngStream(*key) for key in _view_keys(cfg, epoch, [index], tag).tolist())
     return make_views(graph, cfg.augment, streams, cfg.graph)
 
 
 def view_batch(dataset: GraphDataset, indices, cfg: TrainConfig, epoch: int,
                tag: str = "augment") -> GraphBatch:
-    """build_batch of the view_pair views of the indexed crystals, both views
-    of each in turn, bit for bit, drawn for the whole batch at once
-    (augment.batch_views)."""
+    """build_batch of the views of the indexed crystals, both views of each
+    in turn, drawn for the whole batch at once by augment.batch_views."""
     graphs = [dataset.graphs[i] for i in np.asarray(indices).tolist() for _ in (0, 1)]
-    node_masked, edge_features = batch_views(graphs, cfg.augment,
-                                             _view_keys(cfg, epoch, indices, tag), cfg.graph)
+    node_masked, _, _, edge_features = batch_views(
+        graphs, cfg.augment, _view_keys(cfg, epoch, indices, tag), cfg.graph)
     return build_batch(graphs, node_masked, edge_features)
 
 

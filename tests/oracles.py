@@ -3,14 +3,19 @@
 Kept deliberately naive: explicit loops over an image block (5x5x5 by
 default) for the neighbor search and scalar loops elsewhere, sharing no code
 with the implementations they check. grad_check compares the tape's gradients with
-central differences of the same function.
+central differences of the same function. views_oracle draws augmented views
+one child stream and one view at a time, as the views are defined, without
+the batched path that the package draws them through.
 """
 
 import math
 
 import numpy as np
 
+from crystalpretrain.augment import mask_count
 from crystalpretrain.autodiff import Tape, backward
+from crystalpretrain.graphs import gaussian_expand
+from crystalpretrain.rng import RngStream
 
 
 def brute_force_neighbors(structure, radius, max_neighbors, reach=2):
@@ -75,6 +80,30 @@ def count_elements(cif_texts):
                     sym = token.split()[columns.index("_atom_site_type_symbol")]
                     counts[sym] = counts.get(sym, 0) + 1
     return counts
+
+
+def views_oracle(graph, cfg, streams, graph_cfg):
+    """(node mask, edge mask, noised distances, edge features) of the view
+    each stream draws of graph: each of its "atom-mask", "edge-mask" and
+    "gndn" children seeded on its own, each view expanded on its own, with
+    the masked edges' rows zeroed."""
+    views = []
+    for stream in streams:
+        masks = []
+        for own, fraction, child in ((graph.node_masked, cfg.atom_mask_fraction, "atom-mask"),
+                                     (graph.edge_masked, cfg.edge_mask_fraction, "edge-mask")):
+            mask, k = own.copy(), mask_count(fraction, len(own))
+            if k:
+                gen = RngStream(*stream.key, child).generator()
+                mask[gen.choice(len(mask), size=k, replace=False)] = True
+            masks.append(mask)
+        gen = RngStream(*stream.key, "gndn").generator()
+        distances = graph.distances + gen.uniform(-cfg.gndn_delta, cfg.gndn_delta,
+                                                  size=len(graph.distances))
+        features = gaussian_expand(distances, graph_cfg)
+        features[masks[1]] = 0.0
+        views.append((*masks, distances, features))
+    return views
 
 
 def gated_conv_loop(node_feats, edge_feats, src, dst, gate_weight, gate_bias,

@@ -160,11 +160,11 @@ def test_sequential_order_atom_edge_noise(graph):
     views = make_views(graph, cfg, streams, CFG)
     n, m = graph.n_nodes, graph.n_edges
     for view, stream in zip(views, streams):
-        nodes = stream.child("atom-mask").generator().choice(
+        nodes = RngStream(*stream.key, "atom-mask").generator().choice(
             n, size=mask_count(0.3, n), replace=False)
-        edges = stream.child("edge-mask").generator().choice(
+        edges = RngStream(*stream.key, "edge-mask").generator().choice(
             m, size=mask_count(0.3, m), replace=False)
-        eps = stream.child("gndn").generator().uniform(-0.3, 0.3, size=m)
+        eps = RngStream(*stream.key, "gndn").generator().uniform(-0.3, 0.3, size=m)
         distances = graph.distances + eps
         features = gaussian_expand(distances, CFG)
         features[edges] = 0.0

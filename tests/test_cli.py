@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from crystalpretrain.augment import AugmentConfig, make_views
+from crystalpretrain.augment import AugmentConfig
 from crystalpretrain.checkpoint import MAGIC, VERSION, load_checkpoint, save_checkpoint
 from crystalpretrain.cli import (KEY_SPECS, ConfigError, RunConfig, main,
                                  read_config_file)
@@ -24,6 +24,7 @@ from crystalpretrain.rng import RngStream
 from crystalpretrain import train
 from crystalpretrain.train import (TrainConfig, TrainError, evaluate_checkpoint,
                                    load_graph_dataset, split_dataset)
+from oracles import views_oracle
 
 SYNTH = ["--set", "synth.n_crystals=20", "--set", "synth.max_atoms=4"]
 FAST_TRAIN = [
@@ -742,12 +743,12 @@ def test_augment_preview_shows_the_epoch_0_views(synth_dir, tmp_path):
     gcfg = GraphConfig(radius=6.0)
     graph = load_graph_dataset(manifest, gcfg).graphs[index]
     streams = tuple(RngStream(2, "augment", 0, index, view) for view in (0, 1))
-    views = make_views(graph, AugmentConfig(), streams, gcfg)
+    views = views_oracle(graph, AugmentConfig(), streams, gcfg)
     with open(tmp_path / "preview.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert [(row["d_noised"], row["masked"]) for row in rows] == [
         (repr(float(d)), str(int(masked)))
-        for view in views for d, masked in zip(view.distances, view.edge_masked)]
+        for _, edge_masked, distances, _ in views for d, masked in zip(distances, edge_masked)]
 
 
 def test_augment_preview_unknown_id(synth_dir, tmp_path):

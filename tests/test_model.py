@@ -253,7 +253,7 @@ def conv_case(seed, drop_anchor=False, shuffle=False, blocks=False):
     gen = np.random.default_rng(seed)
     strong = AugmentConfig(atom_mask_fraction=0.3, edge_mask_fraction=0.3, gndn_delta=0.3)
     graphs = block_graphs() if blocks else toy_graphs(3, seed=seed, cfg=GCHECK)
-    views = [make_views(g, strong, (RngStream(seed, k), RngStream(seed, k, 1)), GCHECK)[0]
+    views = [make_views(g, strong, (RngStream(seed, k, 0), RngStream(seed, k, 1)), GCHECK)[0]
              for k, g in enumerate(graphs)]
     batch = build_batch(views)
     n, h, k = len(batch.node_z), 4, GCHECK.n_centers

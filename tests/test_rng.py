@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from crystalpretrain.rng import RngStream, generators, seed_states
+from crystalpretrain.rng import _PER_KEY_MAX, RngStream, generators, seed_states
 
 KEYS = {
     "empty": (),
@@ -70,3 +70,15 @@ def test_generators_draw_what_their_streams_draw():
                                   stream.choice(30, size=4, replace=False))
             assert np.array_equal(gen.uniform(-0.5, 0.5, size=7),
                                   stream.uniform(-0.5, 0.5, size=7))
+
+
+@pytest.mark.parametrize("n", [_PER_KEY_MAX - 1, _PER_KEY_MAX])  # per key, then seed_states
+def test_generators_draw_what_their_streams_draw_at_the_switch(n):
+    (keys,) = random_keys(seed=5, lengths=(6,), per_length=n)
+    gens = generators(keys)
+    assert len(gens) == n
+    for key, gen in zip(keys, gens):
+        stream = RngStream(*key.tolist()).generator()
+        assert np.array_equal(gen.choice(30, size=4, replace=False),
+                              stream.choice(30, size=4, replace=False))
+        assert np.array_equal(gen.uniform(-0.5, 0.5, size=7), stream.uniform(-0.5, 0.5, size=7))

@@ -9,7 +9,7 @@ from operator import attrgetter
 import numpy as np
 import pytest
 
-from crystalpretrain.augment import AugmentConfig
+from crystalpretrain.augment import AugmentConfig, make_views
 from crystalpretrain.autodiff import Tensor
 from crystalpretrain.checkpoint import checkpoint_from_params
 from crystalpretrain.datasets import (ManifestRecord, SyntheticConfig,
@@ -25,7 +25,9 @@ from crystalpretrain.train import (AdamState, EmptySplit, GraphDataset, Metrics,
                                    TrainConfig, TrainError, adam_step,
                                    evaluate_checkpoint, finetune, load_graph_dataset,
                                    mean_absolute_error, pretrain, split_dataset,
-                                   view_batch, view_pair)
+                                   view_batch)
+from crystalpretrain.rng import RngStream
+from oracles import views_oracle
 
 SMALL_MODEL = ModelConfig(hidden_dim=8, n_conv=2, embed_dim=8, head_hidden=8)
 SMALL_GRAPH = GraphConfig(radius=6.0, max_neighbors=12)
@@ -279,6 +281,16 @@ def assert_batches_identical(got: GraphBatch, expected: GraphBatch):
             assert a == b, name
 
 
+def oracle_pair(graph, cfg: TrainConfig, epoch, index, tag) -> list[CrystalGraph]:
+    """The views_oracle views of the crystal at dataset position index, from
+    the streams (seed, tag, epoch, index, view) that pretraining keys."""
+    streams = [RngStream(cfg.seed, tag, epoch, index, view) for view in (0, 1)]
+    return [replace(graph, node_masked=node_masked, edge_masked=edge_masked,
+                    distances=distances, edge_features=edge_features)
+            for node_masked, edge_masked, distances, edge_features
+            in views_oracle(graph, cfg.augment, streams, cfg.graph)]
+
+
 @pytest.mark.parametrize("augment", sorted(VIEW_AUGMENTS))
 @pytest.mark.parametrize("epoch", [0, 3])
 @pytest.mark.parametrize("tag", ["augment", "eval-augment"])
@@ -295,11 +307,38 @@ def test_view_batch_is_build_batch_of_view_pairs(augment, epoch, tag, table):
     dataset = GraphDataset(records=list(manifest.records), graphs=graphs)
     cfg = small_config(augment=VIEW_AUGMENTS[augment], seed=11)
     order = np.random.default_rng(epoch).permutation(40)
-    for start in range(0, 40, 16):  # the last batch is short
-        idx = order[start:start + 16]
+    # batches of 1, 5, 6, 16 and 12 crystals seed 6, 30, 36, 96 and 72
+    # streams: both sides of the size at which rng.generators switches
+    for idx in np.split(order, np.cumsum([1, 5, 6, 16])):
         expected = build_batch([view for i in idx
-                                for view in view_pair(graphs[i], cfg, epoch, i, tag)])
+                                for view in oracle_pair(graphs[i], cfg, epoch, i, tag)])
         assert_batches_identical(view_batch(dataset, idx, cfg, epoch, tag), expected)
+
+
+@pytest.mark.parametrize("augment", sorted(VIEW_AUGMENTS))
+@pytest.mark.parametrize("key_length", [1, 5, 9])
+def test_make_views_is_the_views_oracle(augment, key_length):
+    structures, _ = generate_synthetic_dataset(SyntheticConfig(n_crystals=3, max_atoms=6, seed=9))
+    rows = FeatureTable(rows={z: np.array([z, 1.0 / z, z % 7]) for z in range(1, MAX_Z + 1)},
+                        width=3)
+    graphs = [build_graph(s, SMALL_GRAPH) for s in structures]
+    graphs += [one_edge_graph(), build_graph(structures[0], SMALL_GRAPH, rows)]
+    cfg = VIEW_AUGMENTS[augment]
+    for k, graph in enumerate(graphs):
+        streams = tuple(RngStream(2 * k + view, *range(key_length - 1)) for view in (0, 1))
+        views = make_views(graph, cfg, streams, SMALL_GRAPH)
+        for view, expected in zip(views, views_oracle(graph, cfg, streams, SMALL_GRAPH)):
+            for name, want in zip(("node_masked", "edge_masked", "distances",
+                                   "edge_features"), expected):
+                got = getattr(view, name)
+                assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+                assert got.tobytes() == want.tobytes(), name
+
+
+def test_make_views_refuses_streams_whose_keys_differ_in_length():
+    with pytest.raises(ValueError, match="differ in length"):
+        make_views(one_edge_graph(), AugmentConfig(), (RngStream(3, 0), RngStream(3, 0, 1)),
+                   SMALL_GRAPH)
 
 
 def test_pretrain_logs_every_step():
