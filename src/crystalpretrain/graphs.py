@@ -14,17 +14,24 @@ and cached. Any block that holds this one gives the same graph, so the
 bound changes speed only: a 4 x 4 x 4 supercell of a small cell at the
 default 8 A cutoff searches the 27 translations of -1..1.
 
-The neighbor search is a linked-cell search. The periodic images of every
+A small cell, one with at most _DENSE_MAX_PAIRS = 3,000 (site, image
+point) pairs, is searched densely: every pair's distance is computed and
+each site's row is sorted. A desk cell has a median of 720 pairs, and
+testing them all costs less than the numpy calls that set up a linked-cell
+search; for 5-site cells the two cost the same near 3,100 pairs.
+
+A larger cell gets a linked-cell search. The periodic images of every
 site are binned into cubes whose edge is the search radius, and each atom is
 tested only against the points in the 27 bins around its own. At a fixed
 density a bin holds a bounded number of points, so the candidate pairs grow
 as O(N) with the number of sites N, where testing every (atom, site, image)
 triple grows as O(N^2) times the image count.
 
-The search runs at two radii. Every atom is first searched at r1, a little
-more than the radius that holds max_neighbors atoms at the cell's mean
-density (5.3-7.1 A for the middle half of the synthetic cells, against the
-default 8 A cutoff), so fewer candidates are found, measured and sorted.
+The linked-cell search runs at two radii. Every atom is first searched at
+r1, a little more than the radius that holds max_neighbors atoms at the
+cell's mean density (5.3-7.1 A for the middle half of the synthetic cells,
+against the default 8 A cutoff), so fewer candidates are found, measured
+and sorted.
 Only the atoms with fewer than max_neighbors candidates within r1 are
 searched again at the cutoff. The output does not change: an atom with
 max_neighbors candidates within r1 has its nearest ones, ties included,
@@ -158,6 +165,13 @@ _STENCIL = _offsets((1, 1, 1))
 # max_neighbors atoms at the cell's mean density; it changes speed only
 _FIRST_PASS_SCALE = 1.2
 
+# cells with at most this many (site, image point) pairs are searched by
+# testing every pair (_dense); it changes speed only. The dense search of a
+# 5-site desk cell took 0.94x the linked-cell search's time at 2,800 pairs,
+# 0.99x at 3,125, 1.16x at 3,675 and 1.63x at 6,125 (one BLAS thread);
+# cells of 6-16 sites cross over later, near 5,000-7,000 pairs
+_DENSE_MAX_PAIRS = 3000
+
 
 def _candidates(xyz: np.ndarray, image_pos: np.ndarray, radius: float,
                 anchors: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -205,6 +219,27 @@ def _candidates(xyz: np.ndarray, image_pos: np.ndarray, radius: float,
     return anchor_idx[within], point[within], dist[within]
 
 
+def _dense(xyz: np.ndarray, image_pos: np.ndarray, radius: float, k: int
+           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(anchor, point, distance) of the k nearest image points within radius
+    of every site, distance 0 excluded, sorted by (anchor, distance, point).
+
+    Every (site, point) distance is computed, in _candidates' x, y, z
+    order; those outside (0, radius] become inf and sort last, so a stable
+    sort of each row and its first k entries, the inf ones dropped, are the
+    kept edges.
+    """
+    disp = image_pos[:, None, :] - xyz[:, :, None]
+    dist = np.sqrt(disp[0] * disp[0] + disp[1] * disp[1] + disp[2] * disp[2])
+    dist[(dist == 0.0) | (dist > radius)] = np.inf
+    order = np.argsort(dist, axis=1, kind="stable")[:, :k]
+    d = dist[np.arange(len(dist))[:, None], order]
+    found = d < np.inf
+    if not found[:, 0].all():
+        raise IsolatedAtom(np.flatnonzero(~found[:, 0]).tolist())
+    return np.nonzero(found)[0], order[found], d[found]
+
+
 def neighbor_list(structure: CrystalStructure, cfg: GraphConfig
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """All periodic neighbors within the cutoff, at most max_neighbors each.
@@ -227,25 +262,30 @@ def neighbor_list(structure: CrystalStructure, cfg: GraphConfig
     radius below, so their rounding cannot change the output. The offset
     block of each size is made once and cached (_offsets).
 
-    The points are found in two passes of a linked-cell search
-    (_candidates). The first pass searches every anchor at
-    r1 = min(radius, 1.2 r_k), where r_k = (3 k V / (4 pi N))^(1/3) is the
-    radius that holds k = max_neighbors atoms at the cell's mean density.
-    An anchor with at least k candidates within r1 keeps them: its k
-    nearest, and every tie at the k-th distance, lie within r1, and they
-    sort first among its candidates within the cutoff. The second pass
-    searches only the anchors left short, at the cutoff, in place of their
-    first-pass candidates.
+    A cell of n sites and P image points with n P <= _DENSE_MAX_PAIRS is
+    searched densely (_dense): the distance of every (site, point) pair,
+    one stable sort of each site's row, and its first max_neighbors
+    entries within the cutoff. Any other cell's points are found in two
+    passes of a linked-cell search (_candidates). The first pass searches
+    every anchor at r1 = min(radius, 1.2 r_k), where r_k =
+    (3 k V / (4 pi N))^(1/3) is the radius that holds k = max_neighbors
+    atoms at the cell's mean density. An anchor with at least k candidates
+    within r1 keeps them: its k nearest, and every tie at the k-th
+    distance, lie within r1, and they sort first among its candidates
+    within the cutoff. The second pass searches only the anchors left
+    short, at the cutoff, in place of their first-pass candidates.
 
-    The result is bit-identical to testing every (anchor, site, image)
-    triple of any block that holds this one: both passes read the same image
-    points, pruning drops only pairs that the cap or the cutoff would drop,
-    and each distance is the square root of dx^2 + dy^2 + dz^2 added left
-    to right. Points are numbered in (neighbor index, image vector) order,
-    so the sort keys (anchor, distance, point) are unique per edge: the
-    order in which candidates are found does not matter, and argsorts of
-    the distances and of two int64 keys built from them give lexsort's
-    order, faster.
+    Both searches give the same arrays, bit for bit, as testing every
+    (anchor, site, image) triple of any block that holds this one: they
+    read the same image points, pruning drops only pairs that the cap or
+    the cutoff would drop, and each distance is the square root of
+    dx^2 + dy^2 + dz^2 added left to right. Points are numbered in
+    (neighbor index, image vector) order, so the sort keys (anchor,
+    distance, point) are unique per edge and fix one order. The dense
+    search reaches it with a stable sort of each anchor's row, whose ties
+    stay in point order. The linked-cell search finds candidates in no
+    particular order, and argsorts of the distances and of two int64 keys
+    built from them give lexsort's order, faster.
     """
     # contiguous rows of x, y and z: a transposed view would make the
     # gathers and the arithmetic on them strided, and slower
@@ -264,6 +304,11 @@ def neighbor_list(structure: CrystalStructure, cfg: GraphConfig
     image_pos = (xyz[:, :, None] + shifts.T[:, None, :]).reshape(3, -1)
 
     k = cfg.max_neighbors
+    if n * image_pos.shape[1] <= _DENSE_MAX_PAIRS:
+        anchor_idx, point, d = _dense(xyz, image_pos, cfg.radius, k)
+        neigh_idx, off_idx = np.divmod(point, len(offsets))
+        return (anchor_idx, neigh_idx, offsets[off_idx], d)
+
     r_k = (3.0 * k * volume / (4.0 * math.pi * n)) ** (1.0 / 3.0)
     r1 = min(cfg.radius, _FIRST_PASS_SCALE * r_k)
     anchor_idx, point, d = _candidates(xyz, image_pos, r1, np.arange(n))

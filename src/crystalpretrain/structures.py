@@ -4,6 +4,9 @@ Only P1 (symmetry-expanded) CIFs are accepted: cell parameters, plus an
 atom-site loop with fractional coordinates. Anything fancier (symmetry
 operations beyond identity, occupancies, disorder) is out of scope.
 
+A CIF is one data block in which each data name appears once; a second
+block or a repeated name is refused, naming its line.
+
 The text is scanned in one pass over its lines, each tokenized once. The
 site loop is read by column: one regex match and one numpy conversion for
 all coordinates. A loop with a bad row is read again row by row, so the
@@ -54,6 +57,20 @@ class UnterminatedTextField(StructureError):
     def __init__(self, line_number: int):
         self.line_number = line_number
         super().__init__(f"text field opened on line {line_number} is never closed")
+
+
+class RepeatedDataName(StructureError):
+    def __init__(self, name: str, first_line: int, line_number: int):
+        self.name, self.first_line, self.line_number = name, first_line, line_number
+        super().__init__(
+            f"data name {name} on line {line_number} repeats line {first_line}")
+
+
+class SecondDataBlock(StructureError):
+    def __init__(self, line_number: int):
+        self.line_number = line_number
+        super().__init__(f"a second data block starts on line {line_number}; "
+                         "a CIF holds one structure")
 
 
 def decode_utf8(data: bytes, path, error: type[Exception]) -> str:
@@ -217,10 +234,17 @@ def _scan(text: str) -> tuple[dict[str, tuple[int, str]], list[_Loop]]:
     tag that had none (blank and comment lines between them aside); in a
     loop it is one cell, a row of its own at the opening line. What follows
     the closing ';' is read as a line of its own. A field left open raises
-    UnterminatedTextField."""
+    UnterminatedTextField.
+
+    As CIF 1.1 requires, a data name, scalar or loop tag, appears once: a
+    repeat raises RepeatedDataName. A CIF is one data block: a second
+    data_ line raises SecondDataBlock."""
     scalars: dict[str, tuple[int, str]] = {}
     loops: list[_Loop] = []
-    loop, tagging, bare = None, False, None
+    # the line of every data name, scalar or loop tag; a line names at most
+    # one, so a name already on an earlier line is a repeat
+    names: dict[str, int] = {}
+    loop, tagging, bare, block = None, False, None, False
     # a text field needs a ';', and testing each line for one costs a tenth
     # of a scan
     fields = ";" in text
@@ -242,7 +266,10 @@ def _scan(text: str) -> tuple[dict[str, tuple[int, str]], list[_Loop]]:
             tagging, bare, line = False, None, line[1:]
         tokens = _tokenize(line)
         if tagging and len(tokens) == 1 and tokens[0].startswith("_"):
-            loop.tags.append(tokens[0].lower())
+            tag = tokens[0].lower()
+            if names.setdefault(tag, number) != number:
+                raise RepeatedDataName(tag, names[tag], number)
+            loop.tags.append(tag)
             continue
         tagging = False
         if not tokens:
@@ -255,11 +282,15 @@ def _scan(text: str) -> tuple[dict[str, tuple[int, str]], list[_Loop]]:
             loops.append(loop)
         elif head.startswith("_"):
             loop = None
+            if names.setdefault(low, number) != number:
+                raise RepeatedDataName(low, names[low], number)
             scalars[low] = (number, tokens[1] if len(tokens) > 1 else "")
             if len(tokens) == 1:
                 bare = low
         elif low.startswith("data_"):
-            loop = None
+            if block:
+                raise SecondDataBlock(number)
+            loop, block = None, True
         elif loop is not None:
             loop.rows.append((number, tokens))
     return scalars, loops

@@ -250,6 +250,8 @@ BAD_INPUTS = {
     "table-not-utf8": ("table", "z,f0\n26,1.0\udcff\n"),
     "cif-not-utf8": ("cif", "data_x\n_cell_length_a 4.0\udcff\n"),
     "cif-unterminated-text-field": ("cif", "data_x\n;\n_cell_length_a 4.0\n"),
+    "cif-repeated-data-name": ("cif", "_cell_length_a 4.0\n_cell_length_a 4.0\n"),
+    "cif-second-data-block": ("cif", "data_x\ndata_y\n"),
     # a fine-tuned checkpoint whose metadata is updated with the dict
     "finetuned-graph-config-int": ("finetuned", {"graph_config": 5}),
     "finetuned-graph-config-list": ("finetuned", {"graph_config": ["a"]}),

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import sys
@@ -16,6 +17,42 @@ from crystalpretrain.rng import RngStream
 from crystalpretrain.structures import CrystalStructure, lattice_from_parameters
 from conftest import random_structure
 from oracles import brute_force_neighbors
+
+
+def on_both_searches(test):
+    """Run test twice: with every cell searched densely, then with every cell
+    on the linked-cell search."""
+    @functools.wraps(test)
+    def run(*args, **kwargs):
+        for name, limit in (("dense", 10 ** 12), ("linked-cell", 0)):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(graphs, "_DENSE_MAX_PAIRS", limit)
+                try:
+                    test(*args, **kwargs)
+                except AssertionError as err:
+                    err.add_note(f"on the {name} search")
+                    raise
+    return run
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """Records (search, sites, image points) for every dense search and every
+    linked-cell pass neighbor_list makes."""
+    taken = []
+    dense, candidates = graphs._dense, graphs._candidates
+
+    def recording_dense(xyz, image_pos, radius, k):
+        taken.append(("dense", xyz.shape[1], image_pos.shape[1]))
+        return dense(xyz, image_pos, radius, k)
+
+    def recording_candidates(xyz, image_pos, radius, anchors):
+        taken.append(("linked-cell", xyz.shape[1], image_pos.shape[1]))
+        return candidates(xyz, image_pos, radius, anchors)
+
+    monkeypatch.setattr(graphs, "_dense", recording_dense)
+    monkeypatch.setattr(graphs, "_candidates", recording_candidates)
+    return taken
 
 
 def graph_edges(structure, cfg):
@@ -64,10 +101,23 @@ def test_simple_cubic_first_shell(cubic_fe):
                                            (0, 0, 1), (0, 1, 0), (1, 0, 0)]
 
 
+@on_both_searches
 def test_simple_cubic_isolated(cubic_fe):
     with pytest.raises(IsolatedAtom) as err:
         neighbor_list(cubic_fe, GraphConfig(radius=2.0))
     assert err.value.atom_indices == [0]
+
+
+@on_both_searches
+def test_isolated_atoms_all_named():
+    # a 10 A cube: sites 0 and 2 are 1 A apart, sites 1 and 3 have nothing
+    # within 2 A
+    s = CrystalStructure(np.diag([10.0, 10.0, 10.0]),
+                         [[0.0, 0.0, 0.0], [0.5, 0.5, 0.5], [0.1, 0.0, 0.0], [0.5, 0.0, 0.5]],
+                         [26] * 4)
+    with pytest.raises(IsolatedAtom) as err:
+        neighbor_list(s, GraphConfig(radius=2.0))
+    assert err.value.atom_indices == [1, 3]
 
 
 def test_simple_cubic_tie_break(cubic_fe):
@@ -89,6 +139,7 @@ def test_body_centered_nearest_shell(body_centered):
         assert all(math.isclose(e[3], 2.0 * math.sqrt(3.0)) for e in nearest)
 
 
+@on_both_searches
 def test_neighbor_oracle_equivalence(cubic_fe, body_centered):
     fixtures = [
         (cubic_fe, GraphConfig(radius=4.0, max_neighbors=12)),
@@ -107,6 +158,7 @@ def test_neighbor_oracle_equivalence(cubic_fe, body_centered):
 
 
 @pytest.mark.parametrize("cap", [1, 1000])
+@on_both_searches
 def test_neighbor_blocks_match_oracle(cap):
     # each anchor's candidates come from its block of 27 bins; capped at one
     # neighbour or not at all, the kept edges equal the oracle's and are the
@@ -190,6 +242,7 @@ def skewed_cells():
     yield from FLOAT_EDGE_CELLS
 
 
+@on_both_searches
 def test_skewed_unwrapped_cells_match_oracle():
     gen = np.random.default_rng(6)
     for radius, parameters, frac in skewed_cells():
@@ -231,6 +284,7 @@ def bound_cells():
 
 
 @pytest.mark.parametrize("eps", [-1e-12, 0.0, 1e-12])
+@on_both_searches
 def test_block_bound_on_an_integer_matches_oracle(eps):
     # radius / h_0 + spread_0 on an integer and 1e-12 to either side of it;
     # the oracle's -4..4 block holds more than the search's bound
@@ -250,24 +304,52 @@ def test_block_bound_on_an_integer_matches_oracle(eps):
             assert any(e[:2] == (0, 1) and e[3] == radius for e in got)
 
 
-def test_large_supercell_searches_27_offsets(monkeypatch):
+def test_large_supercell_searches_27_offsets(searches):
     # 4 x 4 x 4 supercells of 2- to 5-atom synthetic cells, the large-cells
     # benchmark's sizes: radius / h_k + spread_k < 2 on every axis, so the
-    # search reads the 27 images of -1..1, where ceil(radius / h_k) + 1 read 125
-    points = []
-    search = graphs._candidates
-
-    def recording(xyz, image_pos, radius, anchors):
-        points.append(image_pos.shape[1])
-        return search(xyz, image_pos, radius, anchors)
-
-    monkeypatch.setattr(graphs, "_candidates", recording)
+    # linked-cell search reads the 27 images of -1..1, where
+    # ceil(radius / h_k) + 1 read 125
     cells, _ = generate_synthetic_dataset(SyntheticConfig(n_crystals=32, max_atoms=5, seed=1))
     for size in range(2, 6):
         sup = tiled(next(c for c in cells if c.n_sites == size), 4)
-        points.clear()
+        searches.clear()
         neighbor_list(sup, GraphConfig())
-        assert points and set(points) == {27 * sup.n_sites}
+        assert searches and set(searches) == {("linked-cell", sup.n_sites, 27 * sup.n_sites)}
+
+
+def test_desk_cells_search_densely_up_to_the_limit(searches):
+    # the desk benchmark corpus of seed 1: a cell takes the dense search
+    # exactly when its (site, image point) pairs are at most the limit,
+    # which holds for 473 of its 512 cells (the rest have 3,125-4,375 pairs)
+    cells, _ = generate_synthetic_dataset(SyntheticConfig(
+        n_crystals=512, max_atoms=5, target_noise=0.02, seed=1))
+    dense = 0
+    for s in cells:
+        searches.clear()
+        neighbor_list(s, GraphConfig())
+        _, n, points = searches[0]
+        search = "dense" if n * points <= graphs._DENSE_MAX_PAIRS else "linked-cell"
+        assert {entry[0] for entry in searches} == {search}
+        dense += search == "dense"
+    assert dense == 473
+
+
+def test_dense_limit_is_inclusive(searches, monkeypatch):
+    # a cell of exactly the limit's pairs is searched densely, one of a pair
+    # more on the linked-cell search; both give the oracle's edges
+    cfg = GraphConfig(radius=4.0, max_neighbors=12)
+    for seed in (1, 4, 9):
+        s = random_structure(seed)
+        expected = [tuple(e) for e in brute_force_neighbors(s, cfg.radius, cfg.max_neighbors)]
+        monkeypatch.setattr(graphs, "_DENSE_MAX_PAIRS", 10 ** 12)
+        searches.clear()
+        neighbor_list(s, cfg)
+        [(_, n, points)] = searches
+        for limit, search in ((n * points, "dense"), (n * points - 1, "linked-cell")):
+            monkeypatch.setattr(graphs, "_DENSE_MAX_PAIRS", limit)
+            searches.clear()
+            assert graph_edges(s, cfg) == expected
+            assert searches and {entry[0] for entry in searches} == {search}
 
 
 def test_offset_block_is_cached_and_read_only(cubic_fe):
@@ -286,6 +368,7 @@ def test_offset_block_is_cached_and_read_only(cubic_fe):
     assert graphs._offsets(span).min() == -1
 
 
+@on_both_searches
 def test_neighbors_exactly_at_cutoff_kept():
     # simple cubic a = 2 A: shells at 2, 2.83, 3.46 and 4 A hold 6 + 12 + 8
     # + 6 atoms; the last six sit at exactly the cutoff, one bin edge apart
@@ -299,6 +382,7 @@ def test_neighbors_exactly_at_cutoff_kept():
     assert graph_edges(sc, cfg) == [tuple(e) for e in expected]
 
 
+@on_both_searches
 def test_tie_heavy_supercell_edges_in_lexsort_order():
     # simple cubic a = 2.5 A tiled 4 x 4 x 4: exact distances, and shells of
     # 6, 12, 8 and 6 atoms, so a cap of 12 keeps six of twelve tied atoms
@@ -315,6 +399,7 @@ def test_tie_heavy_supercell_edges_in_lexsort_order():
     assert len(set(d[src == 0][6:18].tolist())) == 1
 
 
+@on_both_searches
 def test_anchor_short_at_first_radius_searched_again():
     # a dense two-layer slab in a 4 x 4 x 24 A cell, and one atom 7 A above
     # it in the vacuum: within the first-pass radius that atom finds only
@@ -338,6 +423,7 @@ def test_anchor_short_at_first_radius_searched_again():
     assert sum(e[0] == lone for e in expected) == cfg.max_neighbors
 
 
+@on_both_searches
 def test_max_neighbors_cap():
     s = random_structure(42)
     cfg = GraphConfig(radius=6.0, max_neighbors=3)

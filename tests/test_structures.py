@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from crystalpretrain.structures import (CrystalStructure, MalformedNumber,
-                                        MissingTag, NonP1Symmetry, StructureError,
+                                        MissingTag, NonP1Symmetry, RepeatedDataName,
+                                        SecondDataBlock, StructureError,
                                         UnknownElement, UnterminatedTextField,
                                         lattice_from_parameters,
                                         parse_cif, wrap_frac, write_cif)
@@ -156,7 +157,10 @@ def test_malformed_number_line_characterization(old, new, line, token):
 EIGHT_LINES = "loop_\n_a\n_b\n1 2\n_c 3\nloop_\n_d\n4"
 
 # text -> (scalars, [(tags, rows)]), as the index-driven reader gave them,
-# save the semicolon and text-field cases: it read a text field's lines as CIF
+# save the semicolon and text-field cases: it read a text field's lines as CIF.
+# A CIF that _scan refuses maps to (error, line) instead: the index-driven
+# reader kept a repeated data name's last value and read on past a second
+# data block
 SCAN_CASES = {
     "empty-line-in-tags": ("loop_\n_a\n\n_b\n1 2\n",
         {"_b": (4, "")},
@@ -173,8 +177,7 @@ SCAN_CASES = {
         {},
         []),
     "capitals": ("DATA_x\nLOOP_\n_A\n1\nDATA_y\n2\n",
-        {},
-        [(["_a"], [(4, ["1"])])]),
+        SecondDataBlock, 5),
     "loop-then-scalar": ("loop_\n_a 1\n2\n",
         {"_a": (2, "1")},
         [([], [])]),
@@ -182,8 +185,7 @@ SCAN_CASES = {
         {},
         [([], []), (["_b"], [(4, ["3"])])]),
     "quoted-head": ("'_q' 2\nloop_\n_t\nx\n'_q' 5\ny\n",
-        {"_q": (5, "5")},
-        [(["_t"], [(4, ["x"])])]),
+        RepeatedDataName, 5),
     "tags-no-rows-at-end": ("_x 1\nloop_\n_a\n_b",
         {"_x": (1, "1")},
         [(["_a", "_b"], [])]),
@@ -208,6 +210,11 @@ SCAN_CASES = {
 @pytest.mark.parametrize("case", list(SCAN_CASES))
 def test_scan_characterization(case):
     text, scalars, loops = SCAN_CASES[case]
+    if isinstance(scalars, type):
+        with pytest.raises(scalars) as err:
+            _scan(text)
+        assert err.value.line_number == loops
+        return
     got_scalars, got_loops = _scan(text)
     assert got_scalars == scalars
     assert [(loop.tags, loop.rows) for loop in got_loops] == loops
@@ -242,6 +249,32 @@ def test_unterminated_text_field_names_its_line(text):
         _scan(text)
     assert err.value.line_number == 2
     assert isinstance(err.value, StructureError)
+
+
+@pytest.mark.parametrize("old, new, first, line", [
+    # FOUND's reproduction: a = 3.0 was read from the second value
+    ("_cell_length_a 3.0", "_cell_length_a 7.0\n_cell_length_a 3.0", 2, 3),
+    ("_cell_length_c 3.0", "_cell_length_c 3.0\n_CELL_LENGTH_A 3.0", 2, 5),
+    ("_atom_site_fract_y", "_atom_site_fract_y\n_atom_site_fract_x", 11, 13),
+    ("_atom_site_label", "_atom_site_label\n_cell_angle_beta", 6, 10),
+    ("Fe1 Fe 0.0 0.0 0.0", "Fe1 Fe 0.0 0.0 0.0\n_atom_site_label 1", 9, 15)],
+    ids=["scalar", "scalar-capitals", "loop-tag", "scalar-as-loop-tag", "loop-tag-as-scalar"])
+def test_repeated_data_name_names_both_lines(old, new, first, line):
+    # a scalar or a loop tag, whichever comes first, and in any case
+    with pytest.raises(RepeatedDataName) as err:
+        parse_cif(CUBIC_FE_CIF.replace(old, new))
+    assert (err.value.first_line, err.value.line_number) == (first, line)
+    assert f"on line {line} repeats line {first}" in str(err.value)
+    assert isinstance(err.value, StructureError)
+
+
+def test_second_data_block_names_its_line():
+    with pytest.raises(SecondDataBlock, match="starts on line 15") as err:
+        parse_cif(CUBIC_FE_CIF + "data_second\n")
+    assert err.value.line_number == 15
+    assert isinstance(err.value, StructureError)
+    # one data_ line, or none, is one block
+    assert parse_cif(CUBIC_FE_CIF.replace("data_fe\n", "")).n_sites == 1
 
 
 def test_wrap_frac_floor_modulo():
